@@ -12,8 +12,8 @@ from .lie import LieAlgebra, SeriesReport, TypePair, direct_sum
 from .forms import (BilinearForm, PatternReport, QuadraticAlgebra,
                     QuadraticSearch, duality_report, find_nondegenerate_proper_ideal,
                     find_quadratic_structure, invariant_forms, is_invariant,
-                    is_nondegenerate, omega_dual, orthogonal_complement,
-                    pattern_report, quadratic_direct_sum, validate_quadratic)
+                    omega_dual, orthogonal_complement, pattern_report,
+                    quadratic_direct_sum, validate_quadratic)
 from .hall import free_nilpotent, mobius, witt_dim
 from .build import (Cocycle2, Representation, a_sl2, abelian, abelian_quadratic,
                     double_extension, double_extension_by_derivation,

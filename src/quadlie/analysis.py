@@ -1,12 +1,13 @@
 """Locality, the local-quadratic classifier, analysis reports and chain
 diagrams of characteristic ideals.
 
-A Lie algebra is local when it has exactly one maximal ideal; for dimension
-greater than one and non-simple algebras this is equivalent to the Jacobson
-radical coinciding with the nilradical, which is the operative test here.
-When a constructor supplied a designated Levi subalgebra, a structural
-cross-check is run and disagreement is surfaced as a flag instead of being
-silently resolved.
+A Lie algebra is local when it has exactly one maximal ideal. The maximal
+ideals of g are those of g/J, where J = [g, rad] is the Jacobson radical, and
+g/J is reductive; a reductive algebra has one maximal ideal exactly when it
+is one-dimensional or simple, which is the operative test here. When a
+constructor supplied a designated Levi subalgebra, a structural cross-check
+is run and disagreement is surfaced as a flag instead of being silently
+resolved.
 """
 
 from __future__ import annotations
@@ -21,16 +22,20 @@ from .forms import (BilinearForm, find_quadratic_structure,
 
 
 def is_local(algebra: LieAlgebra) -> bool:
-    """Exactly one maximal ideal.
+    """Exactly one maximal ideal: g/J is one-dimensional or simple, with
+    J = [g, rad] the Jacobson radical.
 
-    Dimension-one and simple algebras are local; otherwise the test is
-    jacobson_radical == nilradical.
+    g/J is the Levi factor times the centre rad/J, so when J != rad the
+    quotient has a nonzero centre and is local only when it is that centre,
+    of dimension one; when J = rad it is semisimple and local only when
+    simple.
     """
     if algebra.dim == 0:
         return False
-    if algebra.dim == 1 or algebra.is_simple():
-        return True
-    return algebra.jacobson_radical() == algebra.nilradical()
+    jac = algebra.jacobson_radical()
+    if jac != algebra.radical():
+        return algebra.dim - jac.dim == 1
+    return algebra.quotient(jac, check=False).is_simple()
 
 
 def levi_cross_check(algebra: LieAlgebra) -> Optional[dict]:
@@ -66,11 +71,6 @@ def levi_cross_check(algebra: LieAlgebra) -> Optional[dict]:
     }
 
 
-def _nil_square(algebra: LieAlgebra) -> Subspace:
-    nil = algebra.nilradical()
-    return algebra.product_subspace(nil, nil)
-
-
 def _center_of(algebra: LieAlgebra, u: Subspace) -> Subspace:
     """Centre of the subspace u viewed inside the algebra: u ∩ centralizer(u)."""
     return u.intersect(algebra.centralizer(u))
@@ -100,7 +100,9 @@ def classify_local_quadratic(algebra: LieAlgebra, form: BilinearForm) -> str:
             and algebra.quotient(jac, check=False).is_simple()):
         return "c"
     nil_perp = orthogonal_complement(nil, form)
-    nil_sq = _nil_square(algebra)
+    # nil contains J, and J != 0 for a local algebra that is neither simple
+    # nor one-dimensional, so the powers are not empty
+    nil_sq = algebra.nilradical_powers()[0]
     if algebra.is_solvable():
         z = algebra.center()
         if (nil == algebra.derived_subalgebra()
@@ -202,10 +204,8 @@ def analyze(algebra: LieAlgebra, form: Optional[BilinearForm] = None,
 # chain diagrams
 # ----------------------------------------------------------------------
 
-def characteristic_ideals(algebra: LieAlgebra,
-                          form: Optional[BilinearForm] = None,
-                          extra: Sequence[Tuple[str, Subspace]] = ()
-                          ) -> list:
+def chain_nodes(algebra: LieAlgebra, form: Optional[BilinearForm] = None,
+                extra: Sequence[Tuple[str, Subspace]] = ()) -> list:
     """Named characteristic ideals, deduplicated by subspace equality.
 
     Returns [(names, subspace)] sorted by dimension then basis entries;
@@ -221,18 +221,10 @@ def characteristic_ideals(algebra: LieAlgebra,
     for t, term in enumerate(series.upper_central[2:], start=2):
         named.append((f"Z_{t}", term))
     named.append(("rad", algebra.radical()))
-    nil = algebra.nilradical()
-    named.append(("nilrad", nil))
+    named.append(("nilrad", algebra.nilradical()))
     named.append(("jac", algebra.jacobson_radical()))
-    power = nil
-    t = 2
-    while not power.is_zero():
-        nxt = algebra.product_subspace(nil, power)
-        if nxt == power:
-            break
-        power = nxt
+    for t, power in enumerate(algebra.nilradical_powers(), start=2):
         named.append((f"nilrad^{t}", power))
-        t += 1
     named.extend(extra)
     if form is not None:
         for name, sub in list(named):
@@ -248,11 +240,6 @@ def characteristic_ideals(algebra: LieAlgebra,
                                tuple(tuple(qstr(x) for x in row)
                                      for row in it[1].basis.entries)))
     return items
-
-
-def chain_nodes(algebra: LieAlgebra, form: Optional[BilinearForm] = None,
-                extra: Sequence[Tuple[str, Subspace]] = ()) -> list:
-    return characteristic_ideals(algebra, form, extra)
 
 
 def is_chain(nodes: Sequence[Tuple[list, Subspace]]) -> bool:
@@ -271,7 +258,7 @@ def chain_dot(algebra: LieAlgebra, form: Optional[BilinearForm] = None,
     Output is deterministic: nodes are sorted by dimension and canonical
     basis, and only covering containments are drawn.
     """
-    nodes = characteristic_ideals(algebra, form, extra)
+    nodes = chain_nodes(algebra, form, extra)
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for idx, (names, sub) in enumerate(nodes):
         label = f"dim {sub.dim}: " + " = ".join(names)

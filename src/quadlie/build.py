@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Q, Subspace, as_q, solve
-from .lie import LieAlgebra
-from .forms import BilinearForm, QuadraticAlgebra
+from .linalg import Matrix, Q, Subspace, as_q
+from .lie import LieAlgebra, span_algebra
+from .forms import BilinearForm, QuadraticAlgebra, _invariant_grams
 from .hall import free_nilpotent, layer_dims, mobius, witt_dim  # noqa: F401
 from . import derivations as deriv
 
@@ -257,13 +257,17 @@ def tstar_extension(base: LieAlgebra, omega: Optional[Cocycle2] = None
 # ----------------------------------------------------------------------
 
 def double_extension(aq: QuadraticAlgebra, g: LieAlgebra,
-                     rho: Representation) -> QuadraticAlgebra:
+                     rho: Representation,
+                     provenance: str = "double_extension",
+                     labels: Optional[Sequence[str]] = None
+                     ) -> QuadraticAlgebra:
     """Double extension of the quadratic algebra aq by (g, rho).
 
     Basis order is (g, a, g*). rho must be a homomorphism of g into the
     skew derivations of aq; the cocycle is
     omega(a, a')(x) = phi_a(rho(x)(a), a') and the form pairs g with g*
-    hyperbolically on top of phi_a.
+    hyperbolically on top of phi_a. ``labels`` replaces the default basis
+    labels (those of g, then of a, then of g with a ``_star`` suffix).
     """
     a_alg = aq.algebra
     if rho.source is not g and rho.source.table != g.table:
@@ -282,7 +286,9 @@ def double_extension(aq: QuadraticAlgebra, g: LieAlgebra,
     ng, na = g.dim, a_alg.dim
     total = 2 * ng + na
     ga = aq.form.gram.entries
-    labels = g.labels + a_alg.labels + tuple(f"{lbl}_star" for lbl in g.labels)
+    if labels is None:
+        labels = g.labels + a_alg.labels + tuple(f"{lbl}_star"
+                                                 for lbl in g.labels)
     table: dict = {}
     for (i, j), comp in g.table.items():
         table[(i, j)] = dict(comp)
@@ -320,8 +326,7 @@ def double_extension(aq: QuadraticAlgebra, g: LieAlgebra,
         hint = Subspace.span(total, [[Q(1) if t == i else Q(0)
                                       for t in range(total)]
                                      for i in range(ng)])
-    alg = LieAlgebra(labels, table, levi_hint=hint,
-                     provenance="double_extension")
+    alg = LieAlgebra(labels, table, levi_hint=hint, provenance=provenance)
     rows = [[Q(0)] * total for _ in range(total)]
     for i in range(ng):
         rows[i][ng + na + i] = Q(1)
@@ -360,11 +365,10 @@ def generalized_oscillator(lambdas: Sequence) -> QuadraticAlgebra:
     for i, lam in enumerate(lambdas):
         rows[2 * i + 1][2 * i] = lam
         rows[2 * i][2 * i + 1] = -lam
-    ext = double_extension_by_derivation(va, Matrix(rows, 2 * m))
-    labels = tuple(f"e{k}" for k in range(2 * m + 2))
-    alg = ext.algebra.with_labels(labels).with_metadata(
-        provenance="generalized_oscillator")
-    return QuadraticAlgebra(alg, BilinearForm(alg, ext.form.gram))
+    g = LieAlgebra(("d",), {}, provenance="line")
+    rho = Representation(g, 2 * m, (Matrix(rows, 2 * m),))
+    return double_extension(va, g, rho, provenance="generalized_oscillator",
+                            labels=tuple(f"e{k}" for k in range(2 * m + 2)))
 
 
 # ----------------------------------------------------------------------
@@ -406,25 +410,7 @@ def sl2_module_form(n: int) -> Matrix:
 
 def matrix_skew_invariant_forms(mats: Sequence[Matrix], dim: int) -> list:
     """Symmetric G with M^T G + G M = 0 for every M, primitive-normalized."""
-    from .forms import _primitive_gram, _symmetric_index
-    from .lie import sparse_kernel
-    pairs, pos = _symmetric_index(dim)
-    rows = []
-    for mat in mats:
-        m = mat.entries
-        for i in range(dim):
-            for j in range(i, dim):
-                row = {}
-                for s in range(dim):
-                    if m[s][j] != 0:
-                        key = pos[(i, s) if i <= s else (s, i)]
-                        row[key] = row.get(key, Q(0)) + m[s][j]
-                    if m[s][i] != 0:
-                        key = pos[(s, j) if s <= j else (j, s)]
-                        row[key] = row.get(key, Q(0)) + m[s][i]
-                rows.append(row)
-    space = sparse_kernel(rows, len(pairs))
-    return [_primitive_gram(v, dim, pairs) for v in space.vectors()]
+    return _invariant_grams(mats, dim)
 
 
 def a_sl2(m: int) -> QuadraticAlgebra:
@@ -435,26 +421,7 @@ def a_sl2(m: int) -> QuadraticAlgebra:
     gram = sl2_module_form(2 * m)
     va = abelian(2 * m + 1, prefix="v").with_metadata(provenance="module")
     vaq = QuadraticAlgebra(va, BilinearForm(va, gram))
-    ext = double_extension(vaq, rep.source, rep)
-    alg = ext.algebra.with_metadata(provenance=f"a_sl2({m})")
-    return QuadraticAlgebra(alg, BilinearForm(alg, ext.form.gram))
-
-
-def _algebra_on_matrix_basis(mats: Sequence[Matrix], labels: Sequence[str],
-                             provenance: str) -> LieAlgebra:
-    """Abstract algebra on a fixed, linearly independent matrix basis."""
-    n = mats[0].rows
-    tmat = Matrix([list(b.to_vector()) for b in mats], n * n).transpose()
-    table = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            coeffs = solve(tmat, mats[i].commutator(mats[j]).to_vector())
-            if coeffs is None:
-                raise ValueError("matrix family is not commutator-closed")
-            entry = {t: c for t, c in enumerate(coeffs) if c != 0}
-            if entry:
-                table[(i, j)] = entry
-    return LieAlgebra(tuple(labels), table, provenance=provenance)
+    return double_extension(vaq, rep.source, rep, provenance=f"a_sl2({m})")
 
 
 def n23s() -> QuadraticAlgebra:
@@ -465,9 +432,7 @@ def n23s() -> QuadraticAlgebra:
     rho = Representation(g, 5, (deriv.n23_levi_generator(0, 1, 0),
                                 deriv.n23_levi_generator(0, 0, 1),
                                 deriv.n23_levi_generator(1, 0, 0)))
-    ext = double_extension(aq, g, rho)
-    alg = ext.algebra.with_metadata(provenance="n23s")
-    return QuadraticAlgebra(alg, BilinearForm(alg, ext.form.gram))
+    return double_extension(aq, g, rho, provenance="n23s")
 
 
 def n32s() -> QuadraticAlgebra:
@@ -475,12 +440,10 @@ def n32s() -> QuadraticAlgebra:
     free nilpotent algebra by its 8-dim simple block of skew derivations."""
     aq = n32_quadratic()
     mats = deriv.n32_levi_basis()
-    g = _algebra_on_matrix_basis(mats, [f"s{i + 1}" for i in range(8)],
-                                 "sl3_block")
+    g = span_algebra([m.to_vector() for m in mats], 36, deriv._commutator,
+                     [f"s{i + 1}" for i in range(8)], "sl3_block")
     rho = Representation(g, 6, tuple(mats))
-    ext = double_extension(aq, g, rho)
-    alg = ext.algebra.with_metadata(provenance="n32s")
-    return QuadraticAlgebra(alg, BilinearForm(alg, ext.form.gram))
+    return double_extension(aq, g, rho, provenance="n32s")
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ algebras; the solver is the ground truth against which they are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from math import isqrt
+from typing import Sequence
 
-from .linalg import Matrix, Q, RowSpace, Subspace
-from .lie import LieAlgebra, sparse_kernel
+from .linalg import Matrix, Q, Subspace
+from .lie import LieAlgebra, span_algebra, sparse_kernel
 from .forms import BilinearForm
 
 
@@ -249,15 +250,12 @@ def n32_skew_report(algebra: LieAlgebra, form: BilinearForm) -> dict:
                          for m in inner.basis)
     # the closed-form block must close into an algebra with nondegenerate
     # Killing form
-    rs = RowSpace(36)
-    for m in levi:
-        rs.add(m.to_vector())
-    levi_span = rs.subspace()
-    levi_mats = [Matrix.from_vector(v, 6, 6) for v in levi_span.vectors()]
-    closes = all(levi_span.contains_vector(a.commutator(b).to_vector())
-                 for a in levi_mats for b in levi_mats)
-    levi_alg = _matrix_span_algebra(levi_mats)
-    killing_nondeg = levi_alg.is_semisimple() if levi_alg else False
+    try:
+        levi_alg = matrix_span_algebra(levi)
+    except ValueError:
+        levi_alg = None
+    closes = levi_alg is not None
+    killing_nondeg = closes and levi_alg.is_semisimple()
     return {
         "solver_dim": solver.dim,
         "display_params": N32_SKEW_DISPLAY_PARAMS,
@@ -272,35 +270,19 @@ def n32_skew_report(algebra: LieAlgebra, form: BilinearForm) -> dict:
     }
 
 
-def _matrix_span_algebra(mats: Sequence[Matrix]) -> Optional[LieAlgebra]:
-    """Abstract Lie algebra of a commutator-closed span of matrices."""
-    if not mats:
-        return None
-    n = mats[0].rows
-    rs = RowSpace(n * n)
-    for m in mats:
-        rs.add(m.to_vector())
-    basis_span = rs.subspace()
-    basis = [Matrix.from_vector(v, n, n) for v in basis_span.vectors()]
-    k = len(basis)
-    tmat = Matrix([list(b.to_vector()) for b in basis], n * n).transpose()
-    from .linalg import solve
-    table = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            coeffs = solve(tmat, basis[i].commutator(basis[j]).to_vector())
-            if coeffs is None:
-                return None
-            entry = {t: c for t, c in enumerate(coeffs) if c != 0}
-            if entry:
-                table[(i, j)] = entry
-    labels = tuple(f"s{i + 1}" for i in range(k))
-    return LieAlgebra(labels, table, provenance="matrix_span")
+def _commutator(x: Sequence, y: Sequence) -> tuple:
+    """Commutator of two square matrices flattened row-major."""
+    n = isqrt(len(x))
+    a, b = Matrix.from_vector(x, n, n), Matrix.from_vector(y, n, n)
+    return a.commutator(b).to_vector()
 
 
 def matrix_span_algebra(mats: Sequence[Matrix]) -> LieAlgebra:
-    """Public wrapper; raises when the span is not commutator-closed."""
-    alg = _matrix_span_algebra(list(mats))
-    if alg is None:
-        raise ValueError("matrix span is not closed under commutators")
-    return alg
+    """Abstract Lie algebra of the span of matrices, on the canonical basis
+    of that span; raises ValueError when the span is not commutator-closed."""
+    if not mats:
+        raise ValueError("empty matrix family")
+    n = mats[0].rows
+    basis = Subspace.span(n * n, [m.to_vector() for m in mats]).vectors()
+    return span_algebra(basis, n * n, _commutator,
+                        [f"s{i + 1}" for i in range(len(basis))], "matrix_span")

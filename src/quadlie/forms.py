@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .linalg import (Matrix, PencilTooLarge, Q, Subspace, as_q, det,
-                     det_pencil, eval_pencil_det, kernel)
+                     det_pencil, eval_pencil_det, greedy_extension, kernel)
 from .lie import LieAlgebra, TypePair, sparse_kernel
 
 
@@ -49,10 +49,6 @@ class BilinearForm:
 
     def __repr__(self) -> str:
         return f"BilinearForm(dim {self.gram.rows})"
-
-
-def is_nondegenerate(form: BilinearForm) -> bool:
-    return form.is_nondegenerate()
 
 
 def is_invariant(algebra: LieAlgebra, form: BilinearForm) -> bool:
@@ -142,20 +138,14 @@ def _primitive_gram(vec: Sequence[Q], n: int, pairs) -> Matrix:
     return Matrix(rows, n)
 
 
-def invariant_forms(algebra: LieAlgebra,
-                    support: Optional[set] = None) -> list:
-    """Basis of the space of invariant symmetric bilinear forms.
-
-    Solves {symmetric G : G ad(e_k) + ad(e_k)^T G = 0 for all k}. When
-    ``support`` is given, entries outside that set of (i, j) pairs (i <= j)
-    are constrained to zero. Members are scaled to primitive integer Gram
-    matrices with positive leading entry.
-    """
-    n = algebra.dim
+def _invariant_grams(mats: Sequence[Matrix], n: int,
+                     support: Optional[set] = None) -> list:
+    """Primitive basis of {symmetric G : G M + M^T G = 0 for every M in mats},
+    with entries outside ``support`` (when given) constrained to zero."""
     pairs, pos = _symmetric_index(n)
     rows = []
-    for t in range(n):
-        a = algebra.ad_basis(t).entries
+    for mat in mats:
+        a = mat.entries
         for i in range(n):
             for j in range(i, n):
                 row = {}
@@ -173,8 +163,21 @@ def invariant_forms(algebra: LieAlgebra,
             if p not in support:
                 rows.append({pos[p]: Q(1)})
     space = sparse_kernel(rows, len(pairs))
-    return [BilinearForm(algebra, _primitive_gram(v, n, pairs))
-            for v in space.vectors()]
+    return [_primitive_gram(v, n, pairs) for v in space.vectors()]
+
+
+def invariant_forms(algebra: LieAlgebra,
+                    support: Optional[set] = None) -> list:
+    """Basis of the space of invariant symmetric bilinear forms.
+
+    Solves {symmetric G : G ad(e_k) + ad(e_k)^T G = 0 for all k}. When
+    ``support`` is given, entries outside that set of (i, j) pairs (i <= j)
+    are constrained to zero. Members are scaled to primitive integer Gram
+    matrices with positive leading entry.
+    """
+    mats = [algebra.ad_basis(t) for t in range(algebra.dim)]
+    return [BilinearForm(algebra, g)
+            for g in _invariant_grams(mats, algebra.dim, support)]
 
 
 @dataclass(frozen=True)
@@ -296,8 +299,8 @@ def duality_report(algebra: LieAlgebra, form: BilinearForm,
     failures = []
     involution = True
     image_ideal = True
-    for i, ideal in enumerate(ideals):
-        dual = omega_dual(algebra, form, ideal)
+    duals = [omega_dual(algebra, form, ideal) for ideal in ideals]
+    for i, (ideal, dual) in enumerate(zip(ideals, duals)):
         if not algebra.is_ideal(dual):
             image_ideal = False
             failures.append(f"perp of ideal #{i} is not an ideal")
@@ -307,11 +310,9 @@ def duality_report(algebra: LieAlgebra, form: BilinearForm,
     order = True
     for i, a in enumerate(ideals):
         for j, b in enumerate(ideals):
-            if i != j and b.contains(a):
-                if not orthogonal_complement(a, form).contains(
-                        orthogonal_complement(b, form)):
-                    order = False
-                    failures.append(f"order reversal fails on #{i} <= #{j}")
+            if i != j and b.contains(a) and not duals[i].contains(duals[j]):
+                order = False
+                failures.append(f"order reversal fails on #{i} <= #{j}")
     series = algebra.series()
     lower = list(series.lower_central)
     upper = list(series.upper_central)
@@ -353,15 +354,9 @@ class PatternReport:
 def _complement_inside(inner: Subspace, outer: Subspace) -> Subspace:
     """Canonical complement of inner within outer, greedy over outer's
     canonical basis rows."""
-    from .linalg import RowSpace
-    rs = RowSpace(outer.ambient)
-    for v in inner.vectors():
-        rs.add(v)
-    chosen = []
-    for v in outer.vectors():
-        if rs.add(v):
-            chosen.append(v)
-    return Subspace.span(outer.ambient, chosen)
+    vecs = outer.vectors()
+    return Subspace.span(outer.ambient,
+                         [vecs[j] for j in greedy_extension(inner, vecs)])
 
 
 def pattern_report(algebra: LieAlgebra, form: BilinearForm,
@@ -424,14 +419,7 @@ def find_nondegenerate_proper_ideal(algebra: LieAlgebra, form: BilinearForm,
     pool.extend([algebra.radical(), algebra.nilradical(),
                  algebra.jacobson_radical(), z,
                  _complement_inside(z.intersect(d2), z)])
-    nil = algebra.nilradical()
-    power = nil
-    while not power.is_zero():
-        nxt = algebra.product_subspace(nil, power)
-        if nxt == power:
-            break
-        power = nxt
-        pool.append(power)
+    pool.extend(algebra.nilradical_powers())
     for i in range(n):
         pool.append(algebra.ideal_closure(
             Subspace.span(n, [algebra.basis_vector(i)])))

@@ -105,9 +105,6 @@ class LieAlgebra:
                           levi_hint if levi_hint is not None else self.levi_hint,
                           provenance if provenance is not None else self.provenance)
 
-    def with_labels(self, labels: Sequence[str]) -> "LieAlgebra":
-        return LieAlgebra(labels, self.table, self.levi_hint, self.provenance)
-
     def structure_constant(self, i: int, j: int, k: int) -> Q:
         return self.bracket_basis(i, j).get(k, Q(0))
 
@@ -432,6 +429,22 @@ class LieAlgebra:
         self._cache["nilradical"] = result
         return result
 
+    def nilradical_powers(self) -> tuple:
+        """Powers nil^2, nil^3, ... of the nilradical, nil^(k+1) = [nil, nil^k],
+        up to the first zero or repeated term; empty when nil is zero."""
+        if "nil_powers" not in self._cache:
+            nil = self.nilradical()
+            powers = []
+            power = nil
+            while not power.is_zero():
+                nxt = self.product_subspace(nil, power)
+                if nxt == power:
+                    break
+                power = nxt
+                powers.append(power)
+            self._cache["nil_powers"] = tuple(powers)
+        return self._cache["nil_powers"]
+
     def jacobson_radical(self) -> Subspace:
         """[g, radical]; equals the intersection of all maximal ideals."""
         if "jacobson" not in self._cache:
@@ -445,9 +458,7 @@ class LieAlgebra:
     def centroid(self) -> list:
         """Basis of {M : M ad(x) = ad(x) M for all x}."""
         n = self.dim
-        if n == 0:
-            return []
-        rows = {}
+        rows = []
         for t in range(n):
             a = self.ad_basis(t).entries
             for p in range(n):
@@ -458,12 +469,8 @@ class LieAlgebra:
                             row[p * n + m] = row.get(p * n + m, Q(0)) + a[m][q]
                         if a[p][m] != 0:
                             row[m * n + q] = row.get(m * n + q, Q(0)) - a[p][m]
-                    row = {k: v for k, v in row.items() if v != 0}
-                    if row:
-                        key = _normalized_row_key(row)
-                        rows[key] = row
-        mat = _rows_to_matrix(rows.values(), n * n)
-        ker = kernel(mat)
+                    rows.append(row)
+        ker = sparse_kernel(rows, n * n)
         return [Matrix.from_vector(v, n, n) for v in ker.vectors()]
 
     def is_simple(self) -> bool:
@@ -537,22 +544,10 @@ class LieAlgebra:
     def subalgebra(self, u: Subspace, labels: Optional[Sequence[str]] = None
                    ) -> "LieAlgebra":
         """Restrict the bracket to a subspace closed under it."""
-        vecs = u.vectors()
-        k = len(vecs)
-        tmat = Matrix([list(v) for v in vecs], self.dim).transpose()
-        table = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                w = self.bracket(vecs[a], vecs[b])
-                coeffs = solve(tmat, w)
-                if coeffs is None:
-                    raise ValueError("subspace is not closed under the bracket")
-                entry = {t: c for t, c in enumerate(coeffs) if c != 0}
-                if entry:
-                    table[(a, b)] = entry
         if labels is None:
-            labels = tuple(f"u{i + 1}" for i in range(k))
-        return LieAlgebra(labels, table, provenance="subalgebra")
+            labels = tuple(f"u{i + 1}" for i in range(u.dim))
+        return span_algebra(u.vectors(), self.dim, self.bracket, labels,
+                            "subalgebra")
 
     def type_pair(self) -> TypePair:
         return TypePair(self.derived_subalgebra().dim, self.center().dim)
@@ -587,6 +582,24 @@ def sparse_kernel(rows: Iterable[dict], width: int) -> Subspace:
     return kernel(_rows_to_matrix(unique.values(), width))
 
 
+def span_algebra(vectors: Sequence[Sequence], width: int, bracket,
+                 labels: Sequence[str], provenance: str) -> LieAlgebra:
+    """Abstract algebra on linearly independent vectors of Q^width whose span
+    is closed under ``bracket``; raises ValueError when it is not."""
+    k = len(vectors)
+    tmat = Matrix([list(v) for v in vectors], width).transpose()
+    table = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            coeffs = solve(tmat, bracket(vectors[a], vectors[b]))
+            if coeffs is None:
+                raise ValueError("span is not closed under the bracket")
+            entry = {t: c for t, c in enumerate(coeffs) if c != 0}
+            if entry:
+                table[(a, b)] = entry
+    return LieAlgebra(labels, table, provenance=provenance)
+
+
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Direct sum of Lie algebras (blockwise brackets)."""
     if set(a.labels) & set(b.labels):
@@ -601,14 +614,3 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     for (i, j), comp in b.table.items():
         table[(i + off, j + off)] = {k + off: c for k, c in comp.items()}
     return LieAlgebra(labels, table, provenance="direct_sum")
-
-
-def embed_subspace(sub: Subspace, ambient: int, offset: int) -> Subspace:
-    """View a subspace of a summand inside a larger ambient space."""
-    vecs = []
-    for v in sub.vectors():
-        w = [Q(0)] * ambient
-        for i, x in enumerate(v):
-            w[offset + i] = x
-        vecs.append(w)
-    return Subspace.span(ambient, vecs)

@@ -442,32 +442,26 @@ class Subspace:
         return kernel(self.basis)
 
 
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    return u.sum(v)
-
-
-def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersect(v)
-
-
-def contains(u: Subspace, v: Subspace) -> bool:
-    return u.contains(v)
-
-
-def greedy_complement(sub: Subspace) -> tuple:
-    """Indices of the lexicographically first standard vectors completing sub."""
+def greedy_extension(sub: Subspace, candidates: Iterable[Sequence]) -> list:
+    """Positions of the candidates that enlarge the span of sub together with
+    the candidates chosen before them, scanning in order."""
     rs = RowSpace(sub.ambient)
     for row in sub.basis.entries:
         rs.add(row)
     chosen = []
-    for j in range(sub.ambient):
+    for j, v in enumerate(candidates):
         if rs.dim == sub.ambient:
             break
-        e = [Q(0)] * sub.ambient
-        e[j] = Q(1)
-        if rs.add(e):
+        if rs.add(v):
             chosen.append(j)
-    return tuple(chosen)
+    return chosen
+
+
+def greedy_complement(sub: Subspace) -> tuple:
+    """Indices of the lexicographically first standard vectors completing sub."""
+    n = sub.ambient
+    units = ([Q(1) if i == j else Q(0) for i in range(n)] for j in range(n))
+    return tuple(greedy_extension(sub, units))
 
 
 class Poly:

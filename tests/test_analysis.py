@@ -23,7 +23,23 @@ class TestIsLocal:
         assert is_local(ql.oscillator_d4().algebra)
 
     def test_reductive_not_local(self):
-        assert not is_local(direct_sum(ql.sl2(), ql.abelian(1)))
+        osc = ql.generalized_oscillator([1]).algebra
+        d4 = ql.oscillator_d4().algebra
+        two_lines = LieAlgebra(("d1", "d2", "v1", "v2"),
+                               {(0, 2): {2: 1}, (1, 3): {3: 1}})
+        for L in (direct_sum(ql.sl2(), ql.abelian(1)),
+                  direct_sum(ql.sl2(), ql.sl2()), direct_sum(d4, d4),
+                  direct_sum(osc, osc),
+                  direct_sum(ql.split_h3_extension(), osc), two_lines):
+            assert not is_local(L), L.labels
+
+    def test_direct_sum_never_local(self):
+        pool = (ql.abelian(1), ql.sl2(), ql.oscillator_d4().algebra,
+                ql.heisenberg(1), ql.split_h3_extension(),
+                ql.free_nilpotent(2, 3))
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                assert not is_local(direct_sum(a, b)), (a, b)
 
     def test_abelian_not_local(self):
         assert not is_local(ql.abelian(2))

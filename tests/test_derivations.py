@@ -90,6 +90,11 @@ class TestClosedFormGenerators:
         assert alg.is_simple()
         assert len(alg.centroid()) == 1
 
+    def test_unclosed_matrix_span_raises(self):
+        e, f = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="not closed"):
+            matrix_span_algebra([e, f])
+
     def test_n32_report(self):
         q = ql.n32_quadratic()
         report = n32_skew_report(q.algebra, q.form)

@@ -354,6 +354,11 @@ class TestQuotientsAndIdeals:
         q = L.quotient(L.radical())
         assert q.validate() == []
 
+    def test_subalgebra_of_unclosed_span_raises(self):
+        L = ql.oscillator_d4().algebra
+        with pytest.raises(ValueError, match="not closed"):
+            L.subalgebra(Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+
     def test_ideal_closure_minimal_dual(self):
         q = ql.n23s()
         L = q.algebra

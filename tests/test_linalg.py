@@ -132,15 +132,6 @@ class TestSubspaces:
         with pytest.raises(ValueError):
             Subspace.full(2).sum(Subspace.full(3))
 
-    def test_functional_forms(self):
-        from quadlie.linalg import contains, subspace_intersect, subspace_sum
-        u = Subspace.span(3, [[1, 0, 0]])
-        v = Subspace.span(3, [[0, 1, 0]])
-        assert subspace_sum(u, v).dim == 2
-        assert subspace_intersect(u, v).is_zero()
-        assert not contains(u, v)
-        assert contains(subspace_sum(u, v), v)
-
     def test_annihilator_dims(self):
         u = Subspace.span(5, [[1, 2, 3, 4, 5], [0, 1, 0, 1, 0]])
         a = u.annihilator()
