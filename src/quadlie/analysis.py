@@ -38,13 +38,15 @@ def is_local(algebra: LieAlgebra) -> bool:
     return algebra.quotient(jac, check=False).is_simple()
 
 
-def levi_cross_check(algebra: LieAlgebra) -> Optional[dict]:
+def levi_cross_check(algebra: LieAlgebra, local: Optional[bool] = None
+                     ) -> Optional[dict]:
     """Structural check of a designated Levi subalgebra against locality.
 
     Returns None when no levi_hint is present. Checks that the hint plus the
     nilradical decomposes the algebra and that the hint is one-dimensional
     or simple as a subalgebra; ``consistent`` compares the combined verdict
-    with the radical-based locality test.
+    with the radical-based locality test, whose result may be passed in as
+    ``local`` when the caller already has it.
     """
     hint = algebra.levi_hint
     if hint is None:
@@ -67,7 +69,8 @@ def levi_cross_check(algebra: LieAlgebra) -> Optional[dict]:
         "splits_with_nilradical": splits,
         "hint_kind": hint_kind,
         "structural_local": structural,
-        "consistent": structural == is_local(algebra),
+        "consistent": structural == (is_local(algebra) if local is None
+                                     else local),
     }
 
 
@@ -87,6 +90,12 @@ def classify_local_quadratic(algebra: LieAlgebra, form: BilinearForm) -> str:
                          + "; ".join(problems))
     if not is_local(algebra):
         raise ValueError("classification needs a local algebra")
+    return _classify(algebra, form)
+
+
+def _classify(algebra: LieAlgebra, form: BilinearForm) -> str:
+    """classify_local_quadratic on an algebra already known to be local and
+    quadratic under form."""
     if algebra.dim == 1:
         return "a"
     if algebra.is_simple():
@@ -194,10 +203,10 @@ def analyze(algebra: LieAlgebra, form: Optional[BilinearForm] = None,
             "dim_identity_printed_variant": perp_d2.dim + z.dim == algebra.dim,
         }
         if predicates["local"]:
-            classification = classify_local_quadratic(algebra, form)
+            classification = _classify(algebra, form)
     return AnalysisReport(dims, predicates, algebra.type_pair(),
                           classification, quadratic_status, pattern,
-                          levi_cross_check(algebra))
+                          levi_cross_check(algebra, predicates["local"]))
 
 
 # ----------------------------------------------------------------------

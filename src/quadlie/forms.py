@@ -313,24 +313,37 @@ def duality_report(algebra: LieAlgebra, form: BilinearForm,
             if i != j and b.contains(a) and not duals[i].contains(duals[j]):
                 order = False
                 failures.append(f"order reversal fails on #{i} <= #{j}")
-    series = algebra.series()
-    lower = list(series.lower_central)
-    upper = list(series.upper_central)
-    depth = max(len(lower), len(upper))
-    lower += [lower[-1]] * (depth - len(lower))
-    upper += [upper[-1]] * (depth - len(upper))
-    series_ok = True
-    dims_ok = True
-    for t in range(depth):
-        perp = orthogonal_complement(lower[t], form)
-        if perp != upper[t]:
-            series_ok = False
-            failures.append(f"(g^{t + 1})^perp != Z_{t}")
-        if lower[t].dim + upper[t].dim != algebra.dim:
-            dims_ok = False
-            failures.append(f"dim g^{t + 1} + dim Z_{t} != dim g")
+    series_ok, dims_ok, series_failures = _series_duality(algebra, form)
     return DualityReport(involution, image_ideal, order, series_ok, dims_ok,
-                         tuple(failures))
+                         tuple(failures) + series_failures)
+
+
+def _series_duality(algebra: LieAlgebra, form: BilinearForm) -> tuple:
+    """(perps of the lower central series equal the upper central series,
+    the dimensions add up to dim g, failure messages); depends only on the
+    algebra and the form, so it is cached on the form, keyed by the algebra."""
+    cached = form._cache.get("series_duality")
+    if cached is None or cached[0] is not algebra:
+        series = algebra.series()
+        lower = list(series.lower_central)
+        upper = list(series.upper_central)
+        depth = max(len(lower), len(upper))
+        lower += [lower[-1]] * (depth - len(lower))
+        upper += [upper[-1]] * (depth - len(upper))
+        series_ok = True
+        dims_ok = True
+        failures = []
+        for t in range(depth):
+            perp = orthogonal_complement(lower[t], form)
+            if perp != upper[t]:
+                series_ok = False
+                failures.append(f"(g^{t + 1})^perp != Z_{t}")
+            if lower[t].dim + upper[t].dim != algebra.dim:
+                dims_ok = False
+                failures.append(f"dim g^{t + 1} + dim Z_{t} != dim g")
+        cached = (algebra, (series_ok, dims_ok, tuple(failures)))
+        form._cache["series_duality"] = cached
+    return cached[1]
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .linalg import (Matrix, Q, RowSpace, Subspace, as_q, det, greedy_complement,
-                     kernel, solve, vstack)
+from .linalg import (Matrix, Q, RowSpace, Subspace, _kernel, _primitive, as_q,
+                     det, greedy_complement, kernel, solve, vstack)
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Fraction]]
 
@@ -158,6 +159,33 @@ class LieAlgebra:
                     rows[k][i] -= x[j] * c
         return Matrix(rows, n)
 
+    def _bracket_columns(self, x: Sequence) -> list:
+        """The n brackets [x, e_i] as integer vectors, all scaled by one
+        common positive factor, in a single walk of the bracket table.
+
+        The table is scaled once per algebra to integer constants over a
+        common denominator, and x to its primitive integer row.
+        """
+        if "int_table" not in self._cache:
+            den = lcm(*(c.denominator for comp in self.table.values()
+                        for c in comp.values()))
+            self._cache["int_table"] = tuple(
+                (i, j, tuple((k, c.numerator * (den // c.denominator))
+                             for k, c in comp.items()))
+                for (i, j), comp in self.table.items())
+        x = _primitive(x)
+        cols = [[0] * self.dim for _ in range(self.dim)]
+        for i, j, comp in self._cache["int_table"]:
+            if x[i]:
+                xi, col = x[i], cols[j]
+                for k, c in comp:
+                    col[k] += xi * c
+            if x[j]:
+                xj, col = x[j], cols[i]
+                for k, c in comp:
+                    col[k] -= xj * c
+        return cols
+
     def basis_vector(self, i: int) -> tuple:
         return tuple(Q(1) if j == i else Q(0) for j in range(self.dim))
 
@@ -205,17 +233,12 @@ class LieAlgebra:
         """[U, V] = span of brackets of basis vectors."""
         if u.ambient != self.dim or v.ambient != self.dim:
             raise ValueError("ambient dimension mismatch")
-        # against the full space the images are the columns of ad(b)
+        # against the full space the images are the brackets [b, e_i]
         if u.is_full() or v.is_full():
             small = v if u.is_full() else u
-            rows = []
-            for b in small.vectors():
-                ad_b = self.ad(b).entries
-                for i in range(self.dim):
-                    col = tuple(ad_b[k][i] for k in range(self.dim))
-                    if any(x != 0 for x in col):
-                        rows.append(col)
-            return Subspace.span(self.dim, rows)
+            return Subspace.span(self.dim, [
+                col for b in small.vectors()
+                for col in self._bracket_columns(b) if any(col)])
         vecs = []
         for a in u.vectors():
             for b in v.vectors():
@@ -495,16 +518,10 @@ class LieAlgebra:
         against the basis again, which reaches the same fixed point.
         """
         rs = RowSpace(self.dim)
-        work = []
-        for v in s.vectors():
-            if rs.add(v):
-                work.append(v)
-        while work:
-            v = work.pop()
-            ad_v = self.ad(v).entries
-            for i in range(self.dim):
-                col = [ad_v[k][i] for k in range(self.dim)]
-                if any(x != 0 for x in col) and rs.add(col):
+        work = [v for v in s.vectors() if rs.add(v)]
+        while work and rs.dim < self.dim:
+            for col in self._bracket_columns(work.pop()):
+                if any(col) and rs.add(col):
                     work.append(col)
         return rs.subspace()
 
@@ -553,33 +570,27 @@ class LieAlgebra:
         return TypePair(self.derived_subalgebra().dim, self.center().dim)
 
 
-def _normalized_row_key(row: dict) -> tuple:
-    lead = min(row)
-    inv = 1 / row[lead]
-    return tuple(sorted((k, v * inv) for k, v in row.items()))
-
-
-def _rows_to_matrix(rows: Iterable[dict], width: int) -> Matrix:
-    dense = []
-    for row in rows:
-        vec = [Q(0)] * width
-        for k, v in row.items():
-            vec[k] = v
-        dense.append(vec)
-    return Matrix(dense, width)
-
-
 def sparse_kernel(rows: Iterable[dict], width: int) -> Subspace:
     """Kernel of a sparse constraint system, deduplicating scalar-multiple
-    rows before dense reduction."""
+    rows (by their primitive integer form with positive lead) before dense
+    reduction."""
     unique = {}
     for row in rows:
-        row = {k: as_q(v) for k, v in row.items() if v != 0}
-        if row:
-            unique[_normalized_row_key(row)] = row
+        keys = sorted(k for k, v in row.items() if v != 0)
+        if keys:
+            ints = _primitive([row[k] for k in keys])
+            if ints[0] < 0:
+                ints = [-x for x in ints]
+            unique[tuple(zip(keys, ints))] = None
     if not unique:
         return Subspace.full(width)
-    return kernel(_rows_to_matrix(unique.values(), width))
+    dense = []
+    for key in unique:
+        vec = [0] * width
+        for k, v in key:
+            vec[k] = v
+        dense.append(vec)
+    return _kernel(dense, width)
 
 
 def span_algebra(vectors: Sequence[Sequence], width: int, bracket,

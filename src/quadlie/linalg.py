@@ -2,19 +2,30 @@
 
 Matrices, reduced row echelon form, kernels, linear solves, fraction-free
 determinants, determinant pencils and the subspace calculus used by the rest
-of the package. Every scalar is a ``fractions.Fraction``; no floating point
-is used anywhere. All values are immutable after construction and every
-function is pure, so everything here is safe to share between threads.
+of the package. Every scalar at the API is a ``fractions.Fraction`` (ints are
+accepted as input); no floating point is used anywhere.
+
+All elimination runs on primitive integer rows: a rational row is scaled by
+the lcm of its denominators and divided by the gcd of its entries, and a
+pivot row clears an entry by ``v <- b*v - a*row`` followed by another gcd
+division (fraction-free, after Bareiss 1968). Results are converted back to
+Fractions only at the boundary, so ``rref``, ``kernel``, ``solve`` and
+``Subspace`` still return the unique reduced row-echelon form over Q.
+
+All values are immutable after construction and every function is pure, so
+everything here is safe to share between threads.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
+_ZERO = Q(0)
 
 _Q_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -50,7 +61,8 @@ class Matrix:
     __slots__ = ("entries", "_cols")
 
     def __init__(self, rows: Iterable[Iterable], cols: Optional[int] = None):
-        entries = tuple(tuple(as_q(x) for x in row) for row in rows)
+        entries = tuple(tuple(x if type(x) is Q else as_q(x) for x in row)
+                        for row in rows)
         if entries:
             widths = {len(r) for r in entries}
             if len(widths) != 1:
@@ -77,11 +89,13 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)], cols)
+        return cls([[_ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        one = Q(1)
+        return cls([[one if i == j else _ZERO for j in range(n)]
+                    for i in range(n)], n)
 
     @classmethod
     def from_vector(cls, vec: Sequence, rows: int, cols: int) -> "Matrix":
@@ -135,9 +149,19 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            ot = other.transpose().entries
-            return Matrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                           for row in self.entries], other.cols)
+            # row i of the product is the sum of a * (row k of other) over
+            # the nonzero a = self[i][k]; zero factors are skipped
+            terms = [[(j, b) for j, b in enumerate(row) if b]
+                     for row in other.entries]
+            out = []
+            for row in self.entries:
+                acc = [_ZERO] * other.cols
+                for a, row_terms in zip(row, terms):
+                    if a:
+                        for j, b in row_terms:
+                            acc[j] += a * b
+                out.append(acc)
+            return Matrix(out, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -187,59 +211,100 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(rows, cols.pop())
 
 
-def _rref_rows(rows: list, cols: int) -> tuple:
-    """In-place RREF on a list of row lists; returns (rows, pivot columns)."""
+def _primitive(vec: Sequence) -> list:
+    """The primitive integer row on the line of a rational row: scaled by the
+    lcm of the denominators, divided by the gcd of the entries (sign kept;
+    a zero row stays zero)."""
+    try:
+        den = lcm(*(x.denominator for x in vec))
+    except AttributeError:
+        for x in vec:
+            as_q(x)
+        raise
+    row = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    return row
+
+
+def _eliminate(v: list, row: list, p: int) -> list:
+    """Clear v[p] with the integer row ``row`` (row[p] > 0):
+    v <- b*v - a*row with a/b = v[p]/row[p] in lowest terms, then divided by
+    the gcd of its entries. The new row is a positive multiple of the
+    rational residual, so leading signs are kept."""
+    a, b = v[p], row[p]
+    g = gcd(a, b)
+    if g > 1:
+        a //= g
+        b //= g
+    w = [b * x - a * y for x, y in zip(v, row)]
+    g = gcd(*w)
+    if g > 1:
+        w = [x // g for x in w]
+    return w
+
+
+def _rref_rows(rows: Iterable[Sequence], cols: int) -> tuple:
+    """Gauss-Jordan elimination on primitive integer rows.
+
+    Returns (the nonzero rows of the reduced row-echelon form over Q, as
+    Fraction lists, and their pivot columns); each integer pivot row is
+    divided by its pivot only here, at the end.
+    """
+    work = [_primitive(r) for r in rows]
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+        if r == len(work):
+            break
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        work[r], work[pivot] = work[pivot], work[r]
+        prow = work[r]
+        if prow[c] < 0:
+            prow = work[r] = [-x for x in prow]
+        for i, other in enumerate(work):
+            if i != r and other[c]:
+                work[i] = _eliminate(other, prow, c)
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    out = [[Q(x, row[c]) if x else _ZERO for x in row]
+           for row, c in zip(work, pivots)]
+    return out, pivots
 
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form (pivots 1, zeros above and below)."""
-    rows = [list(r) for r in m.entries]
-    rows, _ = _rref_rows(rows, m.cols)
+    rows, _ = _rref_rows(m.entries, m.cols)
+    rows.extend([0] * m.cols for _ in range(m.rows - len(rows)))
     return Matrix(rows, m.cols)
 
 
 def rank(m: Matrix) -> int:
-    rows = [list(r) for r in m.entries]
-    _, pivots = _rref_rows(rows, m.cols)
+    _, pivots = _rref_rows(m.entries, m.cols)
     return len(pivots)
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {v : Mv = 0} as a canonical Subspace."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows, m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
+    return _kernel(m.entries, m.cols)
+
+
+def _kernel(rows: Iterable[Sequence], cols: int) -> "Subspace":
+    """kernel() of the matrix with these rows, given as int or Fraction
+    sequences."""
+    rows, pivots = _rref_rows(rows, cols)
+    free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
+        v = [0] * cols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = -rows[r][f]
         basis.append(v)
-    return Subspace.span(m.cols, basis)
+    return Subspace.span(cols, basis)
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
@@ -267,12 +332,16 @@ def det(m: Matrix) -> Q:
     n = m.rows
     if n == 0:
         return Q(1)
-    scale = 1
+    # each row is scale_i times its primitive integer row
+    scale = Q(1)
     a = []
     for row in m.entries:
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= den
-        a.append([int(x * den) for x in row])
+        ints = _primitive(row)
+        lead = next((j for j, x in enumerate(ints) if x), None)
+        if lead is None:
+            return Q(0)
+        scale *= row[lead] / ints[lead]
+        a.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -287,50 +356,56 @@ def det(m: Matrix) -> Q:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Q(sign * a[n - 1][n - 1], scale)
+    return sign * a[n - 1][n - 1] * scale
 
 
 class RowSpace:
     """Mutable echelon accumulator for incremental span building.
 
-    Internal helper; rows are kept forward-reduced with pivot 1, keyed by
-    pivot column. Use Subspace for canonical, immutable spans.
+    Internal helper. Vectors may hold ints or Fractions; each accepted one is
+    stored as its forward-reduced primitive integer row with a positive
+    pivot, in ascending pivot order. Use Subspace for canonical, immutable
+    spans.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.pivot_rows = {}
+        self._pivots = []
+        self._rows = []
 
     def _residual(self, vec: Sequence) -> list:
-        v = [as_q(x) for x in vec]
-        if len(v) != self.width:
+        if len(vec) != self.width:
             raise ValueError("vector width mismatch")
-        for p in sorted(self.pivot_rows):
-            if v[p] != 0:
-                f = v[p]
-                row = self.pivot_rows[p]
-                v = [a - f * b for a, b in zip(v, row)]
+        v = _primitive(vec)
+        for p, row in zip(self._pivots, self._rows):
+            if v[p]:
+                v = _eliminate(v, row, p)
         return v
 
     def add(self, vec: Sequence) -> bool:
         """Add a vector; True iff it increased the dimension."""
         v = self._residual(vec)
-        lead = next((i for i, x in enumerate(v) if x != 0), None)
+        lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             return False
-        inv = 1 / v[lead]
-        self.pivot_rows[lead] = [x * inv for x in v]
+        if v[lead] < 0:
+            v = [-x for x in v]
+        k = bisect(self._pivots, lead)
+        self._pivots.insert(k, lead)
+        self._rows.insert(k, v)
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self._residual(vec))
+        return not any(self._residual(vec))
 
     @property
     def dim(self) -> int:
-        return len(self.pivot_rows)
+        return len(self._rows)
 
     def subspace(self) -> "Subspace":
-        return Subspace.span(self.width, list(self.pivot_rows.values()))
+        if len(self._rows) == self.width:
+            return Subspace.full(self.width)
+        return Subspace.span(self.width, self._rows)
 
 
 class Subspace:
@@ -353,12 +428,11 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [[as_q(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient:
-                raise ValueError("vector width does not match ambient dimension")
-        rows, pivots = _rref_rows(rows, ambient)
-        return cls(ambient, Matrix(rows[:len(pivots)], ambient))
+        vectors = list(vectors)
+        if any(len(v) != ambient for v in vectors):
+            raise ValueError("vector width does not match ambient dimension")
+        rows, _ = _rref_rows(vectors, ambient)
+        return cls(ambient, Matrix(rows, ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":

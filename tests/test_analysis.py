@@ -122,6 +122,31 @@ class TestAnalyze:
         assert report.quadratic_status == "quadratic-witnessed"
         assert report.predicates["quadratic"]
 
+    def test_locality_and_validation_decided_once(self, monkeypatch):
+        import quadlie.analysis as analysis_mod
+        import quadlie.forms as forms_mod
+        calls = {"is_local": 0, "validate_quadratic": 0}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(analysis_mod, "is_local",
+                            spy("is_local", analysis_mod.is_local))
+        validate = spy("validate_quadratic", forms_mod.validate_quadratic)
+        monkeypatch.setattr(forms_mod, "validate_quadratic", validate)
+        monkeypatch.setattr(analysis_mod, "validate_quadratic", validate)
+        quads = (ql.oscillator_d4(), ql.tstar_extension(ql.sl2()), ql.a_sl2(1))
+        for q in quads:
+            calls.update(is_local=0, validate_quadratic=0)
+            report = analyze(q.algebra, q.form)
+            assert report.predicates["local"]
+            assert report.classification != "unclassified"
+            assert calls == {"is_local": 1, "validate_quadratic": 1}
+        assert any(analyze(q.algebra, q.form).levi_check for q in quads)
+
     def test_jsonable(self):
         import json
         q = ql.oscillator_d4()

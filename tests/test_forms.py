@@ -225,6 +225,28 @@ class TestOmegaDuality:
         assert report.series_orthogonality_ok and report.dim_identity_ok
         assert report.failures == ()
 
+    def test_duality_report_checks_series_once(self, monkeypatch):
+        import quadlie.forms as forms_mod
+        rng = random.Random(33)
+        q = ql.a_sl2(2)
+        ideals = [random_ideal(q.algebra, rng) for _ in range(3)]
+        first = ql.duality_report(q.algebra, q.form, ideals)
+        perps = []
+        original = forms_mod.orthogonal_complement
+
+        def spy(u, form):
+            perps.append(u)
+            return original(u, form)
+
+        monkeypatch.setattr(forms_mod, "orthogonal_complement", spy)
+        assert ql.duality_report(q.algebra, q.form, ideals) == first
+        # what is left: one perp per ideal and one per dual (involution)
+        assert len(perps) == 2 * len(ideals)
+        perps.clear()
+        report = ql.duality_report(q.algebra, q.form, [])
+        assert perps == []
+        assert report.series_orthogonality_ok and report.dim_identity_ok
+        assert report.failures == ()
 
 class TestPatternReport:
     def test_d4(self):
