@@ -231,8 +231,8 @@ def tstar_extension(base: LieAlgebra, omega: Optional[Cocycle2] = None
             # [e_i, f^j] = -(f^j o ad e_i)
             entry = {}
             for k in range(n):
-                c = base.structure_constant(i, k, j)
-                if c != 0:
+                c = base.bracket_basis(i, k).get(j)
+                if c:
                     entry[n + k] = -c
             if entry:
                 table[(i, n + j)] = entry
@@ -303,8 +303,8 @@ def double_extension(aq: QuadraticAlgebra, g: LieAlgebra,
             # [g_i, dual_j] = -(dual_j o ad_g e_i)
             entry = {}
             for k in range(ng):
-                c = g.structure_constant(i, k, j)
-                if c != 0:
+                c = g.bracket_basis(i, k).get(j)
+                if c:
                     entry[ng + na + k] = -c
             if entry:
                 table[(i, ng + na + j)] = entry
@@ -410,7 +410,7 @@ def sl2_module_form(n: int) -> Matrix:
 
 def matrix_skew_invariant_forms(mats: Sequence[Matrix], dim: int) -> list:
     """Symmetric G with M^T G + G M = 0 for every M, primitive-normalized."""
-    return _invariant_grams(mats, dim)
+    return _invariant_grams([m.entries for m in mats], dim)
 
 
 def a_sl2(m: int) -> QuadraticAlgebra:

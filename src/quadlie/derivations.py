@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .linalg import Matrix, Q, Subspace
+from .linalg import Matrix, Q, Subspace, _primitive
 from .lie import LieAlgebra, span_algebra, sparse_kernel
 from .forms import BilinearForm
 
@@ -47,38 +47,37 @@ def _leibniz_rows(algebra: LieAlgebra) -> list:
     Unknown d is vectorized row-major: entry (p, q) at index p*n + q.
     """
     n = algebra.dim
+    cols = [algebra._bracket_columns(algebra.basis_vector(t))
+            for t in range(n)]
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            cij = algebra.bracket_basis(i, j)
             for p in range(n):
-                row = {}
-                for k, c in cij.items():
-                    row[p * n + k] = row.get(p * n + k, Q(0)) + c
+                row = {p * n + k: c for k, c in enumerate(cols[i][j]) if c}
                 for q in range(n):
-                    c = algebra.structure_constant(q, j, p)
-                    if c != 0:
-                        row[q * n + i] = row.get(q * n + i, Q(0)) - c
-                    c = algebra.structure_constant(i, q, p)
-                    if c != 0:
-                        row[q * n + j] = row.get(q * n + j, Q(0)) - c
+                    # [e_q, e_j]_p = -[e_j, e_q]_p
+                    if cols[j][q][p]:
+                        row[q * n + i] = row.get(q * n + i, 0) + cols[j][q][p]
+                    if cols[i][q][p]:
+                        row[q * n + j] = row.get(q * n + j, 0) - cols[i][q][p]
                 rows.append(row)
     return rows
 
 
 def _skew_rows(form: BilinearForm) -> list:
-    """Sparse constraint rows for G d + d^T G = 0 (entries i <= j)."""
-    g = form.gram.entries
+    """Sparse rows for G d + d^T G = 0 (entries i <= j), on the integer G."""
     n = form.gram.rows
+    flat = _primitive([x for row in form.gram.entries for x in row])
+    g = [flat[i * n:(i + 1) * n] for i in range(n)]
     rows = []
     for i in range(n):
         for j in range(i, n):
             row = {}
             for q in range(n):
-                if g[i][q] != 0:
-                    row[q * n + j] = row.get(q * n + j, Q(0)) + g[i][q]
-                if g[q][j] != 0:
-                    row[q * n + i] = row.get(q * n + i, Q(0)) + g[q][j]
+                if g[i][q]:
+                    row[q * n + j] = row.get(q * n + j, 0) + g[i][q]
+                if g[q][j]:
+                    row[q * n + i] = row.get(q * n + i, 0) + g[q][j]
             rows.append(row)
     return rows
 
@@ -94,8 +93,9 @@ def derivations(algebra: LieAlgebra) -> DerivationSpace:
 def inner_derivations(algebra: LieAlgebra) -> DerivationSpace:
     """span{ad e_i}; its dimension is dim g - dim Z(g)."""
     n = algebra.dim
-    span = Subspace.span(n * n,
-                         [algebra.ad_basis(i).to_vector() for i in range(n)])
+    span = Subspace.span(n * n, [
+        [c for row in zip(*algebra._bracket_columns(algebra.basis_vector(i)))
+         for c in row] for i in range(n)])
     return DerivationSpace(algebra, _canonical_matrices(span.vectors(), n),
                            "inner")
 

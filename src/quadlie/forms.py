@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .linalg import (Matrix, PencilTooLarge, Q, Subspace, as_q, det,
-                     det_pencil, eval_pencil_det, greedy_extension, kernel)
+from .linalg import (Matrix, PencilTooLarge, Q, Subspace, _primitive, as_q,
+                     det, det_pencil, eval_pencil_det, greedy_extension,
+                     kernel)
 from .lie import LieAlgebra, TypePair, sparse_kernel
 
 
@@ -121,15 +121,8 @@ def _symmetric_index(n: int):
 
 
 def _primitive_gram(vec: Sequence[Q], n: int, pairs) -> Matrix:
-    den = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
+    ints = _primitive(vec)
+    if next((x for x in ints if x), 1) < 0:
         ints = [-x for x in ints]
     rows = [[Q(0)] * n for _ in range(n)]
     for (a, b), x in zip(pairs, ints):
@@ -138,30 +131,32 @@ def _primitive_gram(vec: Sequence[Q], n: int, pairs) -> Matrix:
     return Matrix(rows, n)
 
 
-def _invariant_grams(mats: Sequence[Matrix], n: int,
+def _invariant_grams(mats: Sequence[Sequence[Sequence]], n: int,
                      support: Optional[set] = None) -> list:
     """Primitive basis of {symmetric G : G M + M^T G = 0 for every M in mats},
-    with entries outside ``support`` (when given) constrained to zero."""
+    with entries outside ``support`` (when given) constrained to zero. Each M
+    is given by its rows and read as its primitive integer form."""
     pairs, pos = _symmetric_index(n)
     rows = []
     for mat in mats:
-        a = mat.entries
+        flat = _primitive([x for row in mat for x in row])
+        a = [flat[m * n:(m + 1) * n] for m in range(n)]
         for i in range(n):
             for j in range(i, n):
                 row = {}
                 for m in range(n):
-                    if a[m][j] != 0:
+                    if a[m][j]:
                         key = pos[(i, m) if i <= m else (m, i)]
-                        row[key] = row.get(key, Q(0)) + a[m][j]
-                    if a[m][i] != 0:
+                        row[key] = row.get(key, 0) + a[m][j]
+                    if a[m][i]:
                         key = pos[(m, j) if m <= j else (j, m)]
-                        row[key] = row.get(key, Q(0)) + a[m][i]
+                        row[key] = row.get(key, 0) + a[m][i]
                 rows.append(row)
     if support is not None:
         support = {(min(a, b), max(a, b)) for a, b in support}
         for p in pairs:
             if p not in support:
-                rows.append({pos[p]: Q(1)})
+                rows.append({pos[p]: 1})
     space = sparse_kernel(rows, len(pairs))
     return [_primitive_gram(v, n, pairs) for v in space.vectors()]
 
@@ -175,7 +170,9 @@ def invariant_forms(algebra: LieAlgebra,
     are constrained to zero. Members are scaled to primitive integer Gram
     matrices with positive leading entry.
     """
-    mats = [algebra.ad_basis(t) for t in range(algebra.dim)]
+    # the rows of ad(e_k) are the transposed integer bracket columns
+    mats = [list(zip(*algebra._bracket_columns(algebra.basis_vector(t))))
+            for t in range(algebra.dim)]
     return [BilinearForm(algebra, g)
             for g in _invariant_grams(mats, algebra.dim, support)]
 

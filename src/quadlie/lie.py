@@ -6,6 +6,11 @@ is built into the representation and the Jacobi identity is checked by
 (centre, derived and central series, radical, nilradical, Jacobson radical)
 and the structural predicates used throughout the package.
 
+Every linear system over the bracket table, here and in the solvers, is
+built from the integer columns of ``LieAlgebra._bracket_columns`` as the
+primitive integer rows that ``sparse_kernel`` and ``linalg._kernel`` take;
+only the nilradical's associative envelope multiplies Fraction matrices.
+
 Values are immutable once built; lazily computed reports are cached on the
 instance, and recomputing them concurrently is harmless because every
 computation is deterministic and side-effect free.
@@ -19,7 +24,7 @@ from math import lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .linalg import (Matrix, Q, RowSpace, Subspace, _kernel, _primitive, as_q,
-                     det, greedy_complement, kernel, solve, vstack)
+                     det, greedy_complement, kernel, solve)
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Fraction]]
 
@@ -106,9 +111,6 @@ class LieAlgebra:
                           levi_hint if levi_hint is not None else self.levi_hint,
                           provenance if provenance is not None else self.provenance)
 
-    def structure_constant(self, i: int, j: int, k: int) -> Q:
-        return self.bracket_basis(i, j).get(k, Q(0))
-
     def bracket_basis(self, i: int, j: int) -> Dict[int, Q]:
         """[e_i, e_j] as a sparse {index: coefficient} map."""
         if i == j:
@@ -164,7 +166,8 @@ class LieAlgebra:
         common positive factor, in a single walk of the bracket table.
 
         The table is scaled once per algebra to integer constants over a
-        common denominator, and x to its primitive integer row.
+        common denominator, and x to its primitive integer row. Vector i is
+        column i of ad(x): every linear system over the table reads it here.
         """
         if "int_table" not in self._cache:
             den = lcm(*(c.denominator for comp in self.table.values()
@@ -230,20 +233,21 @@ class LieAlgebra:
     # ------------------------------------------------------------------
 
     def product_subspace(self, u: Subspace, v: Subspace) -> Subspace:
-        """[U, V] = span of brackets of basis vectors."""
+        """[U, V], each [a, b] = sum_i b_i [a, e_i] with a on the smaller side."""
         if u.ambient != self.dim or v.ambient != self.dim:
             raise ValueError("ambient dimension mismatch")
-        # against the full space the images are the brackets [b, e_i]
-        if u.is_full() or v.is_full():
-            small = v if u.is_full() else u
-            return Subspace.span(self.dim, [
-                col for b in small.vectors()
-                for col in self._bracket_columns(b) if any(col)])
+        if u.dim > v.dim:
+            u, v = v, u
+        others = [[(i, x) for i, x in enumerate(_primitive(b)) if x]
+                  for b in v.vectors()]
         vecs = []
         for a in u.vectors():
-            for b in v.vectors():
-                w = self.bracket(a, b)
-                if any(x != 0 for x in w):
+            cols = self._bracket_columns(a)
+            for b in others:
+                w = [0] * self.dim
+                for i, x in b:
+                    w = [p + x * q for p, q in zip(w, cols[i])]
+                if any(w):
                     vecs.append(w)
         return Subspace.span(self.dim, vecs)
 
@@ -255,21 +259,16 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         if "center" not in self._cache:
-            if self.dim == 0:
-                self._cache["center"] = self.zero_space()
-            else:
-                stacked = vstack([self.ad_basis(i) for i in range(self.dim)])
-                self._cache["center"] = kernel(stacked)
+            self._cache["center"] = self.centralizer(self.full_space())
         return self._cache["center"]
 
     def centralizer(self, u: Subspace) -> Subspace:
-        """{x : [x, U] = 0}."""
+        """{x : [x, U] = 0}, the kernel of the stacked ad(v), v in U."""
         if u.ambient != self.dim:
             raise ValueError("ambient dimension mismatch")
-        if u.is_zero():
-            return self.full_space()
-        mats = [self.ad(v) for v in u.vectors()]
-        return kernel(vstack(mats))
+        rows = [row for v in u.vectors()
+                for row in zip(*self._bracket_columns(v)) if any(row)]
+        return _kernel(rows, self.dim)
 
     def series(self) -> SeriesReport:
         if "series" not in self._cache:
@@ -303,12 +302,16 @@ class LieAlgebra:
         return self._cache["series"]
 
     def _upper_step(self, z: Subspace) -> Subspace:
-        """{x : [x, g] contained in z}."""
-        ann = z.annihilator().basis
-        if ann.rows == 0:
-            return self.full_space()
-        mats = [ann * self.ad_basis(i) for i in range(self.dim)]
-        return kernel(vstack(mats))
+        """{x : [x, g] in z}, i.e. phi([e_i, x]) = 0 for all i, phi in ann(z)."""
+        ann = [_primitive(phi) for phi in z.annihilator().vectors()]
+        rows = []
+        for i in range(self.dim):
+            cols = self._bracket_columns(self.basis_vector(i))
+            for phi in ann:
+                row = [sum(f * c for f, c in zip(phi, col)) for col in cols]
+                if any(row):
+                    rows.append(row)
+        return _kernel(rows, self.dim)
 
     # ------------------------------------------------------------------
     # predicates
@@ -483,15 +486,16 @@ class LieAlgebra:
         n = self.dim
         rows = []
         for t in range(n):
-            a = self.ad_basis(t).entries
+            # cols[q][m] is the (m, q) entry of ad(e_t), scaled to an integer
+            cols = self._bracket_columns(self.basis_vector(t))
             for p in range(n):
                 for q in range(n):
                     row = {}
                     for m in range(n):
-                        if a[m][q] != 0:
-                            row[p * n + m] = row.get(p * n + m, Q(0)) + a[m][q]
-                        if a[p][m] != 0:
-                            row[m * n + q] = row.get(m * n + q, Q(0)) - a[p][m]
+                        if cols[q][m]:
+                            row[p * n + m] = row.get(p * n + m, 0) + cols[q][m]
+                        if cols[m][p]:
+                            row[m * n + q] = row.get(m * n + q, 0) - cols[m][p]
                     rows.append(row)
         ker = sparse_kernel(rows, n * n)
         return [Matrix.from_vector(v, n, n) for v in ker.vectors()]
@@ -509,7 +513,14 @@ class LieAlgebra:
     # ------------------------------------------------------------------
 
     def is_ideal(self, u: Subspace) -> bool:
-        return u.contains(self.product_subspace(self.full_space(), u))
+        """True iff [g, U] lies in U; stops at the first bracket outside."""
+        if u.ambient != self.dim:
+            raise ValueError("ambient dimension mismatch")
+        rs = RowSpace(self.dim)
+        for v in u.vectors():
+            rs.add(v)
+        return all(rs.contains(col) for v in u.vectors()
+                   for col in self._bracket_columns(v) if any(col))
 
     def ideal_closure(self, s: Subspace) -> Subspace:
         """Smallest ideal containing s (fixed point of U -> U + [g, U]).

@@ -203,14 +203,6 @@ class Matrix:
         return p.is_zero()
 
 
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    cols = {m.cols for m in mats}
-    if len(cols) != 1:
-        raise ValueError("column mismatch in vstack")
-    rows = [row for m in mats for row in m.entries]
-    return Matrix(rows, cols.pop())
-
-
 def _primitive(vec: Sequence) -> list:
     """The primitive integer row on the line of a rational row: scaled by the
     lcm of the denominators, divided by the gcd of the entries (sign kept;

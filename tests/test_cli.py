@@ -65,13 +65,20 @@ class TestBuildAnalyzePipeline:
 
 class TestModuleExecution:
     def test_python_dash_m_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
+        import quadlie
+        # the subprocess imports quadlie from the same src directory
+        src = os.path.dirname(os.path.dirname(quadlie.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
         target = tmp_path / "d4.alg"
         proc = subprocess.run(
             [sys.executable, "-m", "quadlie", "build", "oscillator",
              "-o", str(target)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0 and target.exists()
 
 

@@ -3,6 +3,9 @@
 The reference below is textbook Gauss-Jordan elimination over Fraction rows.
 It lives only here: the library eliminates on primitive integer rows, and
 every result it returns at the API must equal the reference entry for entry.
+The same holds for the linear systems that the library reads off the integer
+bracket table (subspace products, centralizers, derivations, centroid,
+invariant forms): each is rebuilt here from the Fraction ``bracket``.
 """
 
 from fractions import Fraction
@@ -10,6 +13,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import quadlie as ql
+from quadlie.derivations import derivations, skew_derivations
+from quadlie.forms import (BilinearForm, QuadraticAlgebra, invariant_forms,
+                           orthogonal_complement)
 from quadlie.lie import span_algebra
 from quadlie.linalg import (Matrix, Q, RowSpace, Subspace, det, kernel, rank,
                             rref, solve)
@@ -218,9 +224,9 @@ class TestRowSpaceMatchesReference:
 # ----------------------------------------------------------------------
 
 def _rebased(quad, shift):
-    """The algebra on the basis f_i = e_i + c_i e_{i+1} (f_last = e_last), a
-    unitriangular rational change of basis, so that its structure constants
-    have denominators."""
+    """The quadratic algebra on the basis f_i = e_i + c_i e_{i+1}
+    (f_last = e_last), a unitriangular rational change of basis, so that its
+    structure constants have denominators."""
     L = quad.algebra
     n = L.dim
     vectors = []
@@ -230,17 +236,21 @@ def _rebased(quad, shift):
         if i + 1 < n:
             v[i + 1] = Fraction(shift + i, 3 + i % 4)
         vectors.append(v)
-    return span_algebra(vectors, n, L.bracket, L.labels, "rebased")
+    alg = span_algebra(vectors, n, L.bracket, L.labels, "rebased")
+    p = Matrix(vectors, n)
+    return QuadraticAlgebra(
+        alg, BilinearForm(alg, p * quad.form.gram * p.transpose()))
 
 
-CLOSURE_ALGEBRAS = [
-    ql.generalized_oscillator([Fraction(3, 2), Fraction(-5, 3)]).algebra,
+QUADRATIC = [
+    ql.generalized_oscillator([Fraction(3, 2), Fraction(-5, 3)]),
     ql.generalized_oscillator([Fraction(7, 4), Fraction(1, 6),
-                               Fraction(-2, 5)]).algebra,
+                               Fraction(-2, 5)]),
     _rebased(ql.generalized_oscillator([Fraction(2, 3)]), 1),
     _rebased(ql.tstar_extension(ql.heisenberg(1)), 2),
     _rebased(ql.sl2_killing_quadratic(), 1),
 ]
+CLOSURE_ALGEBRAS = [q.algebra for q in QUADRATIC]
 
 
 def test_closure_algebras_have_non_integer_constants():
@@ -269,3 +279,166 @@ class TestIdealClosureMatchesBruteForce:
             expected = tuple(ref_span_basis(brackets, L.dim))
             assert L.product_subspace(full, full).vectors() == expected
             assert L.derived_subalgebra().vectors() == expected
+
+
+# ----------------------------------------------------------------------
+# systems read off the integer bracket table against Fraction brackets
+# ----------------------------------------------------------------------
+
+def _table(L):
+    """c[i][j] = [e_i, e_j] as a Fraction tuple."""
+    e = [L.basis_vector(i) for i in range(L.dim)]
+    return [[L.bracket(x, y) for y in e] for x in e]
+
+
+def _dense(width, terms):
+    row = [Fraction(0)] * width
+    for k, c in terms:
+        row[k] += c
+    return row
+
+
+def ref_leibniz_rows(c, n):
+    """d([e_i, e_j]) - [d e_i, e_j] - [e_i, d e_j], d row-major."""
+    return [_dense(n * n, [(p * n + k, c[i][j][k]) for k in range(n)]
+                   + [(q * n + i, -c[q][j][p]) for q in range(n)]
+                   + [(q * n + j, -c[i][q][p]) for q in range(n)])
+            for i in range(n) for j in range(i + 1, n) for p in range(n)]
+
+
+def ref_skew_rows(gram, n):
+    """G d + d^T G."""
+    g = gram.entries
+    return [_dense(n * n, [(q * n + j, g[i][q]) for q in range(n)]
+                   + [(q * n + i, g[q][j]) for q in range(n)])
+            for i in range(n) for j in range(n)]
+
+
+def ref_centroid_rows(c, n):
+    """M [e_t, e_x] - [e_t, M e_x], M row-major."""
+    return [_dense(n * n, [(p * n + k, c[t][x][k]) for k in range(n)]
+                   + [(q * n + x, -c[t][q][p]) for q in range(n)])
+            for t in range(n) for x in range(n) for p in range(n)]
+
+
+def ref_invariance_rows(c, n, pos):
+    """B([e_t, e_a], e_b) + B(e_a, [e_t, e_b]) for symmetric B, whose entry
+    (a, b) is the unknown pos[min(a, b), max(a, b)]."""
+    def at(a, b):
+        return pos[(min(a, b), max(a, b))]
+    return [_dense(len(pos), [(at(k, b), c[t][a][k]) for k in range(n)]
+                   + [(at(a, k), c[t][b][k]) for k in range(n)])
+            for t in range(n) for a in range(n) for b in range(n)]
+
+
+def _lead_one(v):
+    lead = next(x for x in v if x)
+    return tuple(x / lead for x in v)
+
+
+def _subspaces(L, data, count):
+    """``count`` random subspaces of L, each spanned by 1 to dim - 1 vectors."""
+    out = []
+    for _ in range(count):
+        k = data.draw(st.integers(1, max(L.dim - 1, 1)))
+        out.append(Subspace.span(L.dim, [[data.draw(entries)
+                                          for _ in range(L.dim)]
+                                         for _ in range(k)]))
+    return out
+
+
+BRACKETS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestBracketSystemsMatchFraction:
+    @BRACKETS
+    @given(st.sampled_from(range(len(QUADRATIC))), st.data())
+    def test_product_of_proper_subspaces(self, which, data):
+        L = CLOSURE_ALGEBRAS[which]
+        u, v = _subspaces(L, data, 2)
+        brackets = [L.bracket(a, b) for a in u.vectors() for b in v.vectors()]
+        expected = tuple(ref_span_basis(brackets, L.dim))
+        assert L.product_subspace(u, v).vectors() == expected
+        assert L.product_subspace(v, u).vectors() == expected
+
+    @BRACKETS
+    @given(st.sampled_from(range(len(QUADRATIC))), st.data())
+    def test_centralizer(self, which, data):
+        L = CLOSURE_ALGEBRAS[which]
+        (u,) = _subspaces(L, data, 1)
+        stacked = [row for v in u.vectors() for row in L.ad(v).entries]
+        assert (L.centralizer(u).vectors()
+                == tuple(ref_kernel_vectors(stacked, L.dim)))
+
+    def test_center(self):
+        for L in CLOSURE_ALGEBRAS:
+            stacked = [row for i in range(L.dim)
+                       for row in L.ad(L.basis_vector(i)).entries]
+            assert L.center().vectors() == tuple(
+                ref_kernel_vectors(stacked, L.dim))
+
+    def test_derivations_and_skew_derivations(self):
+        for q in QUADRATIC:
+            L, n = q.algebra, q.algebra.dim
+            rows = ref_leibniz_rows(_table(L), n)
+            got = tuple(m.to_vector() for m in derivations(L).basis)
+            assert got == tuple(ref_kernel_vectors(rows, n * n))
+            rows += ref_skew_rows(q.form.gram, n)
+            got = tuple(m.to_vector()
+                        for m in skew_derivations(L, q.form).basis)
+            assert got == tuple(ref_kernel_vectors(rows, n * n))
+
+    def test_centroid(self):
+        for L in CLOSURE_ALGEBRAS:
+            rows = ref_centroid_rows(_table(L), L.dim)
+            assert (tuple(m.to_vector() for m in L.centroid())
+                    == tuple(ref_kernel_vectors(rows, L.dim ** 2)))
+
+    def test_invariant_forms(self):
+        for L in CLOSURE_ALGEBRAS:
+            n = L.dim
+            pairs = [(a, b) for a in range(n) for b in range(a, n)]
+            pos = {pair: k for k, pair in enumerate(pairs)}
+            rows = ref_invariance_rows(_table(L), n, pos)
+            got = [[f.gram.entries[a][b] for a, b in pairs]
+                   for f in invariant_forms(L)]
+            assert all(x.denominator == 1 for g in got for x in g)
+            assert (tuple(_lead_one(g) for g in got)
+                    == tuple(ref_kernel_vectors(rows, len(pairs))))
+
+
+class TestIsIdeal:
+    @BRACKETS
+    @given(st.sampled_from(range(len(QUADRATIC))), st.data())
+    def test_matches_product_containment(self, which, data):
+        q = QUADRATIC[which]
+        L = q.algebra
+        s, t = _subspaces(L, data, 2)
+        ideal = L.ideal_closure(s)
+        cases = [ideal, orthogonal_complement(ideal, q.form), s, t,
+                 L.zero_space(), L.full_space()]
+        for u in cases:
+            expected = u.contains(L.product_subspace(L.full_space(), u))
+            assert L.is_ideal(u) is expected
+        assert L.is_ideal(ideal)
+
+    def test_no_canonical_span(self, monkeypatch):
+        cases = []
+        for q in QUADRATIC:
+            L = q.algebra
+            ideal = L.derived_subalgebra()
+            line = Subspace.span(L.dim, [[1] * L.dim])
+            cases.append((L, ideal, L.is_ideal(ideal)))
+            cases.append((L, line, L.is_ideal(line)))
+        calls = []
+        original = Subspace.span.__func__
+
+        def spy(cls, ambient, vectors):
+            calls.append(ambient)
+            return original(cls, ambient, vectors)
+        monkeypatch.setattr(Subspace, "span", classmethod(spy))
+        for L, u, verdict in cases:
+            assert L.is_ideal(u) is verdict
+        assert calls == []
+        assert any(v for *_, v in cases) and not all(v for *_, v in cases)

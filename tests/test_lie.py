@@ -124,8 +124,9 @@ class TestCenterAndCentralizer:
     def test_d4_center_is_z_by_joint_kernel_oracle(self):
         L = ql.oscillator_d4().algebra
         # independent oracle: stack the four ad matrices and intersect kernels
-        from quadlie.linalg import kernel, vstack
-        oracle = kernel(vstack([L.ad_basis(i) for i in range(4)]))
+        from quadlie.linalg import kernel
+        oracle = kernel(Matrix([row for i in range(4)
+                                for row in L.ad_basis(i).entries], 4))
         assert L.center() == oracle
         assert L.center() == Subspace.span(4, [[0, 0, 0, 1]])
 
