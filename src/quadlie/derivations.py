@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .linalg import Matrix, Q, Subspace, _primitive
+from .linalg import Matrix, Q, RowSpace, Subspace, _primitive
 from .lie import LieAlgebra, span_algebra, sparse_kernel
 from .forms import BilinearForm
 
@@ -140,12 +140,9 @@ def is_skew(form: BilinearForm, m: Matrix) -> bool:
 
 def bracket_closed(space: DerivationSpace) -> bool:
     """True iff commutators of basis members stay inside the space."""
-    span = space.span()
-    for i, a in enumerate(space.basis):
-        for b in space.basis[i + 1:]:
-            if not span.contains_vector(a.commutator(b).to_vector()):
-                return False
-    return True
+    span = RowSpace.of(space.span())
+    return all(span.contains(a.commutator(b).to_vector())
+               for i, a in enumerate(space.basis) for b in space.basis[i + 1:])
 
 
 # ----------------------------------------------------------------------
@@ -240,14 +237,12 @@ def n32_skew_report(algebra: LieAlgebra, form: BilinearForm) -> dict:
     levi = n32_levi_basis()
     inner_gens = n32_inner_basis()
     solver = skew_derivations(algebra, form)
-    span = solver.span()
+    span = RowSpace.of(solver.span())
     all_validate = all(is_derivation(algebra, m) and is_skew(form, m)
                        for m in levi + inner_gens)
-    in_space = all(span.contains_vector(m.to_vector())
-                   for m in levi + inner_gens)
+    in_space = all(span.contains(m.to_vector()) for m in levi + inner_gens)
     inner = inner_derivations(algebra)
-    contains_inner = all(span.contains_vector(m.to_vector())
-                         for m in inner.basis)
+    contains_inner = all(span.contains(m.to_vector()) for m in inner.basis)
     # the closed-form block must close into an algebra with nondegenerate
     # Killing form
     try:

@@ -8,8 +8,9 @@ and the structural predicates used throughout the package.
 
 Every linear system over the bracket table, here and in the solvers, is
 built from the integer columns of ``LieAlgebra._bracket_columns`` as the
-primitive integer rows that ``sparse_kernel`` and ``linalg._kernel`` take;
-only the nilradical's associative envelope multiplies Fraction matrices.
+sparse engine rows ``{column: int}`` that ``sparse_kernel`` and
+``linalg._kernel`` take; the nilradical's associative envelope multiplies
+sparse integer matrices and eliminates them as the same rows.
 
 Values are immutable once built; lazily computed reports are cached on the
 instance, and recomputing them concurrently is harmless because every
@@ -23,8 +24,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .linalg import (Matrix, Q, RowSpace, Subspace, _kernel, _primitive, as_q,
-                     det, greedy_complement, kernel, solve)
+from .linalg import (Matrix, Q, RowSpace, Subspace, _insert, _kernel,
+                     _primitive, _row, as_q, det, greedy_complement, kernel,
+                     solve)
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Fraction]]
 
@@ -266,9 +268,8 @@ class LieAlgebra:
         """{x : [x, U] = 0}, the kernel of the stacked ad(v), v in U."""
         if u.ambient != self.dim:
             raise ValueError("ambient dimension mismatch")
-        rows = [row for v in u.vectors()
-                for row in zip(*self._bracket_columns(v)) if any(row)]
-        return _kernel(rows, self.dim)
+        return _kernel((_row(enumerate(row)) for v in u.vectors()
+                        for row in zip(*self._bracket_columns(v))), self.dim)
 
     def series(self) -> SeriesReport:
         if "series" not in self._cache:
@@ -303,14 +304,14 @@ class LieAlgebra:
 
     def _upper_step(self, z: Subspace) -> Subspace:
         """{x : [x, g] in z}, i.e. phi([e_i, x]) = 0 for all i, phi in ann(z)."""
-        ann = [_primitive(phi) for phi in z.annihilator().vectors()]
+        ann = [[(k, f) for k, f in enumerate(_primitive(phi)) if f]
+               for phi in z.annihilator().vectors()]
         rows = []
         for i in range(self.dim):
             cols = self._bracket_columns(self.basis_vector(i))
             for phi in ann:
-                row = [sum(f * c for f, c in zip(phi, col)) for col in cols]
-                if any(row):
-                    rows.append(row)
+                rows.append(_row((j, sum(f * col[k] for k, f in phi))
+                                 for j, col in enumerate(cols)))
         return _kernel(rows, self.dim)
 
     # ------------------------------------------------------------------
@@ -334,22 +335,21 @@ class LieAlgebra:
     # ------------------------------------------------------------------
 
     def killing_gram(self) -> Matrix:
-        """Gram matrix K(e_i, e_j) = trace(ad e_i * ad e_j)."""
+        """Gram matrix K(e_i, e_j) = trace(ad e_i * ad e_j), summed over the
+        nonzero products of the bracket table only."""
         if "killing" not in self._cache:
+            # at[(p, q)] lists (i, (ad e_i)[p][q]) over the nonzero entries
+            at = {}
+            for (i, j), comp in self.table.items():
+                for k, c in comp.items():
+                    at.setdefault((k, j), []).append((i, c))
+                    at.setdefault((k, i), []).append((j, -c))
             n = self.dim
-            ads = [self.ad_basis(i) for i in range(n)]
             rows = [[Q(0)] * n for _ in range(n)]
-            for i in range(n):
-                ai = ads[i].entries
-                for j in range(i, n):
-                    aj = ads[j].entries
-                    t = Q(0)
-                    for p in range(n):
-                        for q in range(n):
-                            if ai[p][q] != 0 and aj[q][p] != 0:
-                                t += ai[p][q] * aj[q][p]
-                    rows[i][j] = t
-                    rows[j][i] = t
+            for (p, q), left in at.items():
+                for j, d in at.get((q, p), ()):
+                    for i, c in left:
+                        rows[i][j] += c * d
             self._cache["killing"] = Matrix(rows, n)
         return self._cache["killing"]
 
@@ -379,76 +379,45 @@ class LieAlgebra:
             self._cache["nilradical"] = rad
             return rad
         n = self.dim
+        # generator r is D ad(p_r), p_r the primitive integer row of radical
+        # vector r and D the table's denominator, as {row: {column: int}};
+        # envelope members are engine rows over the row-major n*n entries
+        prims = [_primitive(v) for v in rad.vectors()]
+        gens = [{k: {j: c for j, c in enumerate(row) if c}
+                 for k, row in enumerate(zip(*self._bracket_columns(p)))}
+                for p in prims]
 
-        def sparse(m: Matrix) -> dict:
-            return {p: {q: v for q, v in enumerate(row) if v != 0}
-                    for p, row in enumerate(m.entries)
-                    if any(v != 0 for v in row)}
-
-        def smul(a: dict, b: dict) -> dict:
+        def times(b: dict, g: dict) -> dict:
             out = {}
-            for p, arow in a.items():
-                orow = {}
-                for q, av in arow.items():
-                    brow = b.get(q)
-                    if brow:
-                        for r, bv in brow.items():
-                            orow[r] = orow.get(r, Q(0)) + av * bv
-                orow = {r: v for r, v in orow.items() if v != 0}
-                if orow:
-                    out[p] = orow
-            return out
+            for key, x in b.items():
+                p, q = divmod(key, n)
+                for r, y in g[q].items():
+                    out[p * n + r] = out.get(p * n + r, 0) + x * y
+            return _row(out.items())
 
-        def svec(a: dict) -> list:
-            v = [Q(0)] * (n * n)
-            for p, row in a.items():
-                for q, val in row.items():
-                    v[p * n + q] = val
-            return v
-
-        def strace(a: dict, b: dict) -> Q:
-            t = Q(0)
-            for p, arow in a.items():
-                for q, av in arow.items():
-                    bv = b.get(q, {}).get(p)
-                    if bv:
-                        t += av * bv
-            return t
-
-        gens = [sparse(self.ad(v)) for v in rad.vectors()]
-        envelope = []
-        rs = RowSpace(n * n)
-        queue = []
-        for g in gens:
-            if rs.add(svec(g)):
-                envelope.append(g)
-                queue.append(g)
-        while queue:
-            b = queue.pop(0)
+        piv = {}
+        flat = (_row((k * n + j, c) for k, row in g.items()
+                     for j, c in row.items()) for g in gens)
+        envelope = [b for b in flat if _insert(piv, b)]
+        for b in envelope:  # grows while it is walked: a breadth-first closure
             for g in gens:
-                p = smul(b, g)
-                if p and rs.add(svec(p)):
-                    envelope.append(p)
-                    queue.append(p)
+                bg = times(b, g)
+                if _insert(piv, bg):
+                    envelope.append(bg)
                 if len(envelope) > n * n:
                     raise RuntimeError("envelope closure exceeded dimension bound")
-        # x = sum t_r rad_r is in the nilradical iff trace(ad(x) b) = 0
-        # for every b in the envelope
-        rows = []
-        for b in envelope:
-            row = [strace(g, b) for g in gens]
-            if any(x != 0 for x in row):
-                rows.append(row)
-        if not rows:
-            coeff_space = Subspace.full(rad.dim)
-        else:
-            coeff_space = kernel(Matrix(rows, rad.dim))
+        # x = sum t_r p_r is in the nilradical iff trace(ad(x) b) = 0 for
+        # every b in the envelope
+        rows = [_row((r, sum(x * g[key % n].get(key // n, 0)
+                             for key, x in b.items()))
+                     for r, g in enumerate(gens))
+                for b in envelope]
         vecs = []
-        for coeff in coeff_space.vectors():
+        for coeff in _kernel(rows, rad.dim).vectors():
             vec = [Q(0)] * n
-            for c, basis_vec in zip(coeff, rad.vectors()):
-                if c != 0:
-                    for idx, x in enumerate(basis_vec):
+            for c, p in zip(coeff, prims):
+                if c:
+                    for idx, x in enumerate(p):
                         vec[idx] += c * x
             vecs.append(vec)
         result = Subspace.span(n, vecs)
@@ -516,9 +485,7 @@ class LieAlgebra:
         """True iff [g, U] lies in U; stops at the first bracket outside."""
         if u.ambient != self.dim:
             raise ValueError("ambient dimension mismatch")
-        rs = RowSpace(self.dim)
-        for v in u.vectors():
-            rs.add(v)
+        rs = RowSpace.of(u)
         return all(rs.contains(col) for v in u.vectors()
                    for col in self._bracket_columns(v) if any(col))
 
@@ -582,26 +549,14 @@ class LieAlgebra:
 
 
 def sparse_kernel(rows: Iterable[dict], width: int) -> Subspace:
-    """Kernel of a sparse constraint system, deduplicating scalar-multiple
-    rows (by their primitive integer form with positive lead) before dense
-    reduction."""
+    """Kernel of a sparse constraint system of {column: value} rows. Each
+    row becomes its engine row (primitive, positive lead), scalar multiples
+    are taken once, and the engine eliminates the sparse rows as they are."""
     unique = {}
     for row in rows:
-        keys = sorted(k for k, v in row.items() if v != 0)
-        if keys:
-            ints = _primitive([row[k] for k in keys])
-            if ints[0] < 0:
-                ints = [-x for x in ints]
-            unique[tuple(zip(keys, ints))] = None
-    if not unique:
-        return Subspace.full(width)
-    dense = []
-    for key in unique:
-        vec = [0] * width
-        for k, v in key:
-            vec[k] = v
-        dense.append(vec)
-    return _kernel(dense, width)
+        row = _row(row.items())
+        unique.setdefault(frozenset(row.items()), row)
+    return _kernel(unique.values(), width)
 
 
 def span_algebra(vectors: Sequence[Sequence], width: int, bracket,

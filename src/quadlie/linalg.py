@@ -1,16 +1,21 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra.
 
 Matrices, reduced row echelon form, kernels, linear solves, fraction-free
 determinants, determinant pencils and the subspace calculus used by the rest
 of the package. Every scalar at the API is a ``fractions.Fraction`` (ints are
 accepted as input); no floating point is used anywhere.
 
-All elimination runs on primitive integer rows: a rational row is scaled by
-the lcm of its denominators and divided by the gcd of its entries, and a
-pivot row clears an entry by ``v <- b*v - a*row`` followed by another gcd
-division (fraction-free, after Bareiss 1968). Results are converted back to
-Fractions only at the boundary, so ``rref``, ``kernel``, ``solve`` and
-``Subspace`` still return the unique reduced row-echelon form over Q.
+All elimination runs on one sparse row format, the engine row
+``{column: int}``: the nonzero entries of a rational row scaled to coprime
+integers, with a positive lead (the entry in the smallest column); ``_row``
+makes one. One echelon step, ``_insert``, reduces a row at its leading
+column against a ``lead -> row`` map, each step ``v <- b*v - a*row`` then a
+gcd division (fraction-free, after Bareiss 1968, on sparse rows as in
+LaMacchia and Odlyzko 1990), and stores what is left under its lead.
+``RowSpace`` keeps such a map; ``_rref_rows`` fills one and back-substitutes.
+Rows are divided by their pivots only at the boundary, so ``rref``,
+``kernel``, ``solve`` and ``Subspace`` still return the unique reduced
+row-echelon form over Q. ``det`` runs Bareiss on dense integer rows.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe to share between threads.
@@ -19,7 +24,6 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 import re
-from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -220,83 +224,130 @@ def _primitive(vec: Sequence) -> list:
     return row
 
 
-def _eliminate(v: list, row: list, p: int) -> list:
-    """Clear v[p] with the integer row ``row`` (row[p] > 0):
-    v <- b*v - a*row with a/b = v[p]/row[p] in lowest terms, then divided by
+def _row(terms: Iterable[tuple]) -> dict:
+    """The engine row on the line of a rational row given by its (column,
+    value) pairs: the nonzero values as coprime integers with a positive
+    lead, {column: int}. Pass ``enumerate(vec)`` for a dense vector."""
+    row = {k: x for k, x in terms if x}
+    if not row:
+        return row
+    ints = _primitive(list(row.values()))
+    if row[min(row)] < 0:
+        ints = [-x for x in ints]
+    return dict(zip(row, ints))
+
+
+def _combine(v: dict, row: dict, c: int) -> dict:
+    """Clear v[c] with the engine row ``row`` (row[c] > 0):
+    v <- b*v - a*row with a/b = v[c]/row[c] in lowest terms, then divided by
     the gcd of its entries. The new row is a positive multiple of the
-    rational residual, so leading signs are kept."""
-    a, b = v[p], row[p]
+    rational residual, so signs are kept."""
+    a, b = v[c], row[c]
     g = gcd(a, b)
     if g > 1:
         a //= g
         b //= g
-    w = [b * x - a * y for x, y in zip(v, row)]
-    g = gcd(*w)
+    w = {k: b * x for k, x in v.items()}
+    for k, y in row.items():
+        x = w.get(k, 0) - a * y
+        if x:
+            w[k] = x
+        else:
+            del w[k]
+    g = gcd(*w.values())
     if g > 1:
-        w = [x // g for x in w]
+        w = {k: x // g for k, x in w.items()}
     return w
 
 
-def _rref_rows(rows: Iterable[Sequence], cols: int) -> tuple:
-    """Gauss-Jordan elimination on primitive integer rows.
-
-    Returns (the nonzero rows of the reduced row-echelon form over Q, as
-    Fraction lists, and their pivot columns); each integer pivot row is
-    divided by its pivot only here, at the end.
-    """
-    work = [_primitive(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == len(work):
+def _reduce(row: dict, piv: dict) -> dict:
+    """What is left of an engine row after reducing it at its leading column
+    by the rows of the lead -> row map ``piv`` until its lead is no pivot;
+    empty exactly when the row lies in their span."""
+    while row:
+        c = min(row)
+        prow = piv.get(c)
+        if prow is None:
             break
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        if prow[c] < 0:
-            prow = work[r] = [-x for x in prow]
-        for i, other in enumerate(work):
-            if i != r and other[c]:
-                work[i] = _eliminate(other, prow, c)
-        pivots.append(c)
-        r += 1
-    out = [[Q(x, row[c]) if x else _ZERO for x in row]
-           for row, c in zip(work, pivots)]
-    return out, pivots
+        row = _combine(row, prow, c)
+    return row
+
+
+def _insert(piv: dict, row: dict) -> bool:
+    """The echelon step: reduce an engine row by ``piv`` and store what is
+    left under its lead, with a positive lead; False when nothing is left."""
+    row = _reduce(row, piv)
+    if not row:
+        return False
+    lead = min(row)
+    piv[lead] = row if row[lead] > 0 else {k: -x for k, x in row.items()}
+    return True
+
+
+def _rref_rows(rows: Iterable[dict]) -> dict:
+    """Gauss-Jordan elimination on engine rows.
+
+    Returns the lead -> row map of the reduced row-echelon form over Q, each
+    row a primitive integer multiple of the Q-RREF row (zero in every other
+    pivot column). Rows are inserted by ``_insert``; the back-substitution
+    then clears the other pivot columns, largest lead first, so each row is
+    cleared only by rows that are already reduced.
+    """
+    piv = {}
+    for row in rows:
+        _insert(piv, row)
+    for lead in sorted(piv, reverse=True):
+        row = piv[lead]
+        for c in [k for k in row if k != lead and k in piv]:
+            row = _combine(row, piv[c], c)
+        piv[lead] = row
+    return piv
+
+
+def _subspace(ambient: int, rows: Iterable[dict]) -> "Subspace":
+    """The span of engine rows, as its canonical Subspace: the reduced rows
+    are divided by their pivots only here."""
+    piv = _rref_rows(rows)
+    basis = []
+    for p in sorted(piv):
+        row = piv[p]
+        vec = [_ZERO] * ambient
+        for k, x in row.items():
+            vec[k] = Q(x, row[p])
+        basis.append(vec)
+    return Subspace(ambient, Matrix(basis, ambient))
+
+
+def _dense_rows(m: Matrix):
+    return (_row(enumerate(r)) for r in m.entries)
 
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form (pivots 1, zeros above and below)."""
-    rows, _ = _rref_rows(m.entries, m.cols)
-    rows.extend([0] * m.cols for _ in range(m.rows - len(rows)))
+    rows = list(_subspace(m.cols, _dense_rows(m)).vectors())
+    rows.extend([_ZERO] * m.cols for _ in range(m.rows - len(rows)))
     return Matrix(rows, m.cols)
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref_rows(m.entries, m.cols)
-    return len(pivots)
+    return len(_rref_rows(_dense_rows(m)))
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {v : Mv = 0} as a canonical Subspace."""
-    return _kernel(m.entries, m.cols)
+    return _kernel(_dense_rows(m), m.cols)
 
 
-def _kernel(rows: Iterable[Sequence], cols: int) -> "Subspace":
-    """kernel() of the matrix with these rows, given as int or Fraction
-    sequences."""
-    rows, pivots = _rref_rows(rows, cols)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    return Subspace.span(cols, basis)
+def _kernel(rows: Iterable[dict], cols: int) -> "Subspace":
+    """kernel() of the matrix with these engine rows. The vector of a free
+    column f is e_f - sum_p (row_p[f] / row_p[p]) e_p over the reduced rows."""
+    piv = _rref_rows(rows)
+    basis = {f: {f: 1} for f in range(cols) if f not in piv}
+    for p, row in piv.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = Q(-x, row[p])
+    return _subspace(cols, (_row(v.items()) for v in basis.values()))
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
@@ -307,13 +358,13 @@ def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
     b = [as_q(x) for x in b]
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    rows = [list(r) + [x] for r, x in zip(m.entries, b)]
-    rows, pivots = _rref_rows(rows, m.cols + 1)
-    if m.cols in pivots:
+    piv = _rref_rows(_row(enumerate(list(r) + [x]))
+                     for r, x in zip(m.entries, b))
+    if m.cols in piv:
         return None
-    x = [Q(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][m.cols]
+    x = [_ZERO] * m.cols
+    for p, row in piv.items():
+        x[p] = Q(row.get(m.cols, 0), row[p])
     return tuple(x)
 
 
@@ -354,50 +405,48 @@ def det(m: Matrix) -> Q:
 class RowSpace:
     """Mutable echelon accumulator for incremental span building.
 
-    Internal helper. Vectors may hold ints or Fractions; each accepted one is
-    stored as its forward-reduced primitive integer row with a positive
-    pivot, in ascending pivot order. Use Subspace for canonical, immutable
-    spans.
+    Internal helper. Vectors may hold ints or Fractions; each is turned into
+    an engine row and reduced by ``_insert``, and an accepted one is kept in
+    the lead -> row map under its leading column. Use Subspace for
+    canonical, immutable spans.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._pivots = []
-        self._rows = []
+        self._piv = {}
 
-    def _residual(self, vec: Sequence) -> list:
+    @classmethod
+    def of(cls, sub: "Subspace") -> "RowSpace":
+        """An accumulator holding sub, loaded with no elimination: the rows
+        of a reduced row-echelon basis already have distinct leads."""
+        rs = cls(sub.ambient)
+        for vec in sub.basis.entries:
+            row = _row(enumerate(vec))
+            rs._piv[min(row)] = row
+        return rs
+
+    def _as_row(self, vec: Sequence) -> dict:
         if len(vec) != self.width:
             raise ValueError("vector width mismatch")
-        v = _primitive(vec)
-        for p, row in zip(self._pivots, self._rows):
-            if v[p]:
-                v = _eliminate(v, row, p)
-        return v
+        return _row(enumerate(vec))
 
     def add(self, vec: Sequence) -> bool:
         """Add a vector; True iff it increased the dimension."""
-        v = self._residual(vec)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        if v[lead] < 0:
-            v = [-x for x in v]
-        k = bisect(self._pivots, lead)
-        self._pivots.insert(k, lead)
-        self._rows.insert(k, v)
-        return True
+        return _insert(self._piv, self._as_row(vec))
 
     def contains(self, vec: Sequence) -> bool:
-        return not any(self._residual(vec))
+        # the residual is a dict: test it for emptiness, not with any(),
+        # which would read its keys and miss column 0
+        return not _reduce(self._as_row(vec), self._piv)
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._piv)
 
     def subspace(self) -> "Subspace":
-        if len(self._rows) == self.width:
+        if len(self._piv) == self.width:
             return Subspace.full(self.width)
-        return Subspace.span(self.width, self._rows)
+        return _subspace(self.width, self._piv.values())
 
 
 class Subspace:
@@ -423,8 +472,7 @@ class Subspace:
         vectors = list(vectors)
         if any(len(v) != ambient for v in vectors):
             raise ValueError("vector width does not match ambient dimension")
-        rows, _ = _rref_rows(vectors, ambient)
-        return cls(ambient, Matrix(rows, ambient))
+        return _subspace(ambient, (_row(enumerate(v)) for v in vectors))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -458,17 +506,12 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
     def contains_vector(self, vec: Sequence) -> bool:
-        rs = RowSpace(self.ambient)
-        for row in self.basis.entries:
-            rs.add(row)
-        return rs.contains(vec)
+        return RowSpace.of(self).contains(vec)
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        rs = RowSpace(self.ambient)
-        for row in self.basis.entries:
-            rs.add(row)
+        rs = RowSpace.of(self)
         return all(rs.contains(v) for v in other.basis.entries)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -511,9 +554,7 @@ class Subspace:
 def greedy_extension(sub: Subspace, candidates: Iterable[Sequence]) -> list:
     """Positions of the candidates that enlarge the span of sub together with
     the candidates chosen before them, scanning in order."""
-    rs = RowSpace(sub.ambient)
-    for row in sub.basis.entries:
-        rs.add(row)
+    rs = RowSpace.of(sub)
     chosen = []
     for j, v in enumerate(candidates):
         if rs.dim == sub.ambient:

@@ -16,12 +16,15 @@ import quadlie as ql
 from quadlie.derivations import derivations, skew_derivations
 from quadlie.forms import (BilinearForm, QuadraticAlgebra, invariant_forms,
                            orthogonal_complement)
-from quadlie.lie import span_algebra
+from quadlie.lie import span_algebra, sparse_kernel
 from quadlie.linalg import (Matrix, Q, RowSpace, Subspace, det, kernel, rank,
                             rref, solve)
 
 ENGINE = settings(max_examples=100, deadline=None, derandomize=True,
                   database=None)
+# for tests whose examples are wide or rebuild algebra-sized systems
+BRACKETS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
 
 
 # ----------------------------------------------------------------------
@@ -141,43 +144,133 @@ def matrices(draw, max_rows=7, max_cols=7):
     return rows, ncols
 
 
+nonzero = st.builds(lambda p, q, sign: Fraction(sign * p, q),
+                    st.integers(1, 9), st.integers(1, 12),
+                    st.sampled_from([1, -1]))
+
+
+@st.composite
+def sparse_blocks(draw):
+    """Small blocks whose rows hold one or two nonzero entries."""
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = [Fraction(0)] * ncols
+        for j in draw(st.sets(st.integers(0, ncols - 1), min_size=1,
+                              max_size=2)):
+            row[j] = draw(nonzero)
+        rows.append(row)
+    return rows, ncols
+
+
+@st.composite
+def wide_sparse(draw):
+    """Block-diagonal systems of width >= 200: a few sparse blocks at
+    random column offsets, their rows interleaved. Returns (rows, width,
+    blocks), each block given as (offset, rows, cols)."""
+    blocks = []
+    width = 0
+    for rows, ncols in draw(st.lists(sparse_blocks(), min_size=1,
+                                     max_size=4)):
+        width += draw(st.integers(0, 40))
+        blocks.append((width, rows, ncols))
+        width += ncols
+    width = max(width, 200) + draw(st.integers(0, 4))
+    rows = [[Fraction(0)] * off + row + [Fraction(0)] * (width - off - ncols)
+            for off, block, ncols in blocks for row in block]
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], width, blocks
+
+
+def systems():
+    """Small dense matrices, read as one block, and wide sparse systems."""
+    return st.one_of(matrices().map(lambda c: (c[0], c[1],
+                                               [(0, c[0], c[1])])),
+                     wide_sparse())
+
+
+def nonzeros(vectors):
+    """Each vector as its (column, value) pairs with a nonzero value. For
+    vectors of one width this is equality entry for entry."""
+    return [[(j, x) for j, x in enumerate(v) if x] for v in vectors]
+
+
+def ref_blockwise(case, ref):
+    """The canonical basis that ``ref(rows, cols)`` gives for a
+    block-diagonal system, as ``nonzeros`` rows, without running ``ref`` at
+    full width: each block's basis is shifted to its columns, and a column
+    in no block is a one-column block without rows. The shifted bases have
+    disjoint supports, so in order of their leading columns they are already
+    canonical."""
+    _, width, blocks = case
+    pieces = [(off, ref(rows, ncols)) for off, rows, ncols in blocks]
+    covered = {off + j for off, _, ncols in blocks for j in range(ncols)}
+    pieces += [(c, ref([], 1)) for c in range(width) if c not in covered]
+    return sorted(([(off + j, x) for j, x in row]
+                   for off, basis in pieces for row in nonzeros(basis)),
+                  key=lambda row: row[0][0])
+
+
+def ref_solve_blockwise(case, b):
+    """ref_solve on each block of a block-diagonal system, a row going to
+    the block of its first nonzero column (a zero row to the first block);
+    None when some block is inconsistent, else the blocks' solutions in
+    their columns and zeros elsewhere."""
+    rows, width, blocks = case
+    x = [Fraction(0)] * width
+    for off, _, ncols in blocks:
+        mine = [(row[off:off + ncols], y) for row, y in zip(rows, b)
+                if next((j for j, v in enumerate(row) if v), 0) - off
+                in range(ncols)]
+        part = ref_solve([r for r, _ in mine], ncols, [y for _, y in mine])
+        if part is None:
+            return None
+        x[off:off + ncols] = part
+    return tuple(x)
+
+
 # ----------------------------------------------------------------------
 # linalg against the reference
 # ----------------------------------------------------------------------
 
 class TestEliminationMatchesReference:
     @ENGINE
-    @given(matrices())
+    @given(systems())
     def test_rref_and_rank(self, case):
-        rows, cols = case
+        rows, cols, _ = case
         m = Matrix(rows, cols)
-        red, pivots = ref_rref(rows, cols)
-        assert rref(m) == Matrix(red, cols)
-        assert rank(m) == len(pivots)
+        basis = ref_blockwise(case, ref_span_basis)
+        got = rref(m)
+        assert (got.rows, got.cols) == (len(rows), cols)
+        assert nonzeros(got) == basis + [[]] * (len(rows) - len(basis))
+        assert rank(m) == len(basis)
 
     @ENGINE
-    @given(matrices())
+    @given(systems())
     def test_kernel(self, case):
-        rows, cols = case
+        rows, cols, _ = case
         got = kernel(Matrix(rows, cols))
-        assert got.vectors() == tuple(ref_kernel_vectors(rows, cols))
+        assert nonzeros(got.vectors()) == ref_blockwise(case,
+                                                        ref_kernel_vectors)
+        assert sparse_kernel([dict(row) for row in nonzeros(rows)],
+                             cols) == got
 
     @ENGINE
-    @given(matrices(), st.data())
+    @given(systems(), st.data())
     def test_solve(self, case, data):
-        rows, cols = case
+        rows, cols, _ = case
         b = [data.draw(entries) for _ in rows]
         got = solve(Matrix(rows, cols), b)
-        assert got == ref_solve(rows, cols, b)
+        assert got == ref_solve_blockwise(case, b)
         if got is not None:
             assert Matrix(rows, cols).apply(got) == tuple(b)
 
     @ENGINE
-    @given(matrices())
+    @given(systems())
     def test_span(self, case):
-        rows, cols = case
+        rows, cols, _ = case
         got = Subspace.span(cols, rows)
-        assert got.vectors() == tuple(ref_span_basis(rows, cols))
+        assert nonzeros(got.vectors()) == ref_blockwise(case, ref_span_basis)
 
     @ENGINE
     @given(matrices())
@@ -208,15 +301,52 @@ class TestRowSpaceMatchesReference:
             grew = len(ref_span_basis(seen, cols)) > before
             assert rs.add(row) is grew
         assert rs.dim == (len(ref_span_basis(seen, cols)) if seen else 0)
-        assert rs.subspace().vectors() == tuple(ref_span_basis(seen, cols))
+        sub = rs.subspace()
+        assert sub.vectors() == tuple(ref_span_basis(seen, cols))
+        # the same span loaded from its canonical basis, with no elimination
+        loaded = RowSpace.of(sub)
+        assert loaded.dim == rs.dim
+        assert loaded.subspace() == sub
         probe_rows, _ = probes
         for v in probe_rows:
             v = (list(v) + [Fraction(0)] * cols)[:cols]
             inside = (len(ref_span_basis(seen + [v], cols))
                       == len(ref_span_basis(seen, cols)))
             assert rs.contains(v) is inside
+            assert loaded.contains(v) is inside
+            assert sub.contains_vector(v) is inside
         for v in seen:
             assert rs.contains(v)
+
+    @BRACKETS
+    @given(wide_sparse(), st.data())
+    def test_wide_sparse(self, case, data):
+        rows, cols, _ = case
+        rs = RowSpace(cols)
+        for row in rows:
+            rs.add(row)
+        expected = ref_blockwise(case, ref_span_basis)
+        assert rs.dim == len(expected)
+        assert nonzeros(rs.subspace().vectors()) == expected
+        assert all(rs.contains(row) for row in rows)
+        # a unit vector lies in the span iff it is a canonical basis row
+        c = data.draw(st.integers(0, cols - 1))
+        unit = [Fraction(0)] * cols
+        unit[c] = Fraction(1)
+        assert rs.contains(unit) is ([(c, 1)] in expected)
+
+    def test_residual_only_in_column_zero(self):
+        # the residual of (3, 0, 0) is nonzero in column 0 alone; testing it
+        # with any() would read the residual's keys and miss column 0
+        rs = RowSpace(3)
+        rs.add([0, 1, 0])
+        rs.add([0, 0, 2])
+        for probe in ([3, 0, 0], [Fraction(-1, 2), 0, 0]):
+            assert not rs.contains(probe)
+            assert not RowSpace.of(rs.subspace()).contains(probe)
+            assert not rs.subspace().contains_vector(probe)
+        assert rs.add([1, 5, 7])
+        assert rs.contains([Fraction(1, 3), 0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -347,10 +477,6 @@ def _subspaces(L, data, count):
     return out
 
 
-BRACKETS = settings(max_examples=30, deadline=None, derandomize=True,
-                    database=None)
-
-
 class TestBracketSystemsMatchFraction:
     @BRACKETS
     @given(st.sampled_from(range(len(QUADRATIC))), st.data())
@@ -406,6 +532,29 @@ class TestBracketSystemsMatchFraction:
             assert all(x.denominator == 1 for g in got for x in g)
             assert (tuple(_lead_one(g) for g in got)
                     == tuple(ref_kernel_vectors(rows, len(pairs))))
+
+
+class TestTraceForms:
+    def test_killing_gram(self):
+        for L in CLOSURE_ALGEBRAS:
+            n = L.dim
+            expected = [[(L.ad_basis(i) * L.ad_basis(j)).trace()
+                         for j in range(n)] for i in range(n)]
+            assert L.killing_gram() == Matrix(expected, n)
+
+    def test_nilradical(self):
+        for L in CLOSURE_ALGEBRAS:
+            nil, rad = L.nilradical(), L.radical()
+            assert all(L.ad(v).is_nilpotent() for v in nil.vectors())
+            if L.is_nilpotent():
+                assert nil.is_full()
+                continue
+            # rad is 0 or g and [g, rad] has codimension <= 1 in it; nil lies
+            # between them and is not rad, which is not nilpotent unless 0
+            jac = L.product_subspace(L.full_space(), rad)
+            assert rad.is_zero() or rad.is_full()
+            assert rad.dim - jac.dim <= 1
+            assert nil == jac
 
 
 class TestIsIdeal:
