@@ -25,7 +25,7 @@ from .analysis import analyze, chain_dot
 from .derivations import derivations, skew_derivations
 from .fileio import ParseError, parse, serialize
 from .forms import (QuadraticAlgebra, duality_report, find_quadratic_structure,
-                    invariant_forms, validate_quadratic)
+                    validate_quadratic)
 from .linalg import Subspace, parse_q, qstr
 
 
@@ -165,9 +165,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_forms(args) -> int:
     algebra, _ = _load(args.file)
-    space = invariant_forms(algebra)
-    print(f"invariant symmetric forms: dim {len(space)}")
     search = find_quadratic_structure(algebra, seed=args.seed)
+    print(f"invariant symmetric forms: dim {search.form_space_dim}")
     if search.status == "found":
         print("nondegenerate invariant form found:")
         g = search.quadratic.form.gram

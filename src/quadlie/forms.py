@@ -52,13 +52,35 @@ class BilinearForm:
 
 
 def is_invariant(algebra: LieAlgebra, form: BilinearForm) -> bool:
-    """phi([x,y],z) = phi(x,[y,z]); equivalently every ad(e_i) is skew."""
-    g = form.gram
-    for i in range(algebra.dim):
-        a = algebra.ad_basis(i)
-        if not (g * a + a.transpose() * g).is_zero():
-            return False
-    return True
+    """phi([x,y],z) = phi(x,[y,z]); equivalently every ad(e_i) is skew.
+
+    One walk over the nonzero structure constants builds the trilinear form
+    t(i, j, k) = phi([e_i, e_j], e_k) for i < j. It is skew in (i, j) by
+    construction, and phi is invariant iff it is skew in (j, k) too, that is
+    iff t is alternating: each nonzero value recurs, up to the sign of the
+    permutation, at all three places of its triple a < b < c. A triple with
+    a repeated index has one place only, so a nonzero value there fails.
+    """
+    support = [[(k, x) for k, x in enumerate(row) if x]
+               for row in form.gram.entries]
+    t = {}
+    for (i, j), comp in algebra.table.items():
+        for m, c in comp.items():
+            for k, x in support[m]:
+                t[i, j, k] = t.get((i, j, k), 0) + c * x
+    triples = {}
+    for (i, j, k), v in t.items():
+        if not v:
+            continue
+        # (i, j, k) -> sorted: k > j and k < i are even permutations
+        if k > j:
+            triples.setdefault((i, j, k), []).append(v)
+        elif k < i:
+            triples.setdefault((k, i, j), []).append(v)
+        else:
+            triples.setdefault((i, k, j), []).append(-v)
+    return all(len(vs) == 3 and vs[0] == vs[1] == vs[2]
+               for vs in triples.values())
 
 
 def validate_quadratic(algebra: LieAlgebra, form: BilinearForm) -> list:
@@ -191,25 +213,35 @@ class QuadraticSearch:
     witness: Optional[tuple]
 
 
-def _witness_search(grams, rng, rounds) -> Optional[tuple]:
+def _candidates(m: int):
+    """All ones, then the unit points."""
+    yield tuple([1] * m)
+    for j in range(m):
+        yield tuple(1 if i == j else 0 for i in range(m))
+
+
+def _first_witness(grams, points) -> Optional[tuple]:
+    return next((p for p in points if eval_pencil_det(grams, p) != 0), None)
+
+
+def _random_witness(grams, rng, rounds) -> Optional[tuple]:
+    """Seeded batches of 200 points in [-r, r]^m, r = 1, 2, 4, ...: the
+    smallest point, by (max |x|, sum |x|, x), with a nonzero determinant in
+    the first batch that has one. Each batch is evaluated in that order up
+    to its first hit."""
     m = len(grams)
-    candidates = [tuple([1] * m)]
-    candidates.extend(tuple(1 if i == j else 0 for i in range(m))
-                      for j in range(m))
-    for point in candidates:
-        if eval_pencil_det(grams, point) != 0:
-            return point
     radius = 1
     for _ in range(rounds):
-        batch = []
+        batch = set()
         for _ in range(200):
             point = tuple(rng.randint(-radius, radius) for _ in range(m))
             if any(point):
-                batch.append(point)
-        hits = [p for p in set(batch) if eval_pencil_det(grams, p) != 0]
-        if hits:
-            return min(hits, key=lambda p: (max(abs(x) for x in p),
-                                            sum(abs(x) for x in p), p))
+                batch.add(point)
+        hit = _first_witness(grams, sorted(
+            batch, key=lambda p: (max(abs(x) for x in p),
+                                  sum(abs(x) for x in p), p)))
+        if hit is not None:
+            return hit
         radius *= 2
     return None
 
@@ -217,11 +249,23 @@ def _witness_search(grams, rng, rounds) -> Optional[tuple]:
 def find_quadratic_structure(algebra: LieAlgebra, seed: int = 0) -> QuadraticSearch:
     """Find an invariant nondegenerate symmetric form, or certify none exists.
 
-    The search is exact: an empty invariant-form space or a failed
-    dim = dim g^2 + dim Z(g) identity each certify non-metrizability, and at
-    symbolic pencil sizes an identically-zero pencil determinant does too.
-    Larger pencils fall back to seeded sampling and report 'undecided' when
-    no witness turns up.
+    The search is exact and runs in this order:
+
+    1. An empty invariant-form space certifies non-metrizability.
+    2. When dim g = dim g^2 + dim Z(g) holds, the candidate points of the
+       pencil t1*B1 + ... + tm*Bm over the basis of that space (all ones,
+       then the unit points) are evaluated; the first with a nonzero
+       determinant is the witness.
+    3. Otherwise the pencil determinant is expanded symbolically (up to
+       12x12 with 12 parameters): identically zero certifies that every
+       invariant form is degenerate.
+    4. A failed dimension identity certifies non-metrizability.
+    5. Seeded batches of random points (``_random_witness``) look for a
+       witness. A nonzero symbolic pencil that yields none reports a spent
+       budget; a pencil too large to expand reports 'undecided'.
+
+    Step 2 returns what steps 3-5 would: a nonzero point proves the pencil
+    nonzero, and the sampling tried the same points first, in the same order.
     """
     forms = invariant_forms(algebra)
     m = len(forms)
@@ -233,24 +277,28 @@ def find_quadratic_structure(algebra: LieAlgebra, seed: int = 0) -> QuadraticSea
     z = algebra.center().dim
     dim_ok = d2 + z == algebra.dim
     grams = [f.gram for f in forms]
-    rng = random.Random(seed)
+    witness = _first_witness(grams, _candidates(m)) if dim_ok else None
     symbolic = None
-    try:
-        symbolic = det_pencil(grams)
-    except PencilTooLarge:
-        pass
-    if symbolic is not None and symbolic.is_zero():
-        reason = ("pencil determinant identically zero (verified "
-                  "symbolically); every invariant symmetric form is degenerate")
+    if witness is None:
+        try:
+            symbolic = det_pencil(grams)
+        except PencilTooLarge:
+            pass
+        if symbolic is not None and symbolic.is_zero():
+            reason = ("pencil determinant identically zero (verified "
+                      "symbolically); every invariant symmetric form is "
+                      "degenerate")
+            if not dim_ok:
+                reason += (f"; dimension check also fails "
+                           f"(dim g^2 + dim Z = {d2} + {z} != {algebra.dim})")
+            return QuadraticSearch("none", None, reason, m, None)
         if not dim_ok:
-            reason += (f"; dimension check also fails "
-                       f"(dim g^2 + dim Z = {d2} + {z} != {algebra.dim})")
-        return QuadraticSearch("none", None, reason, m, None)
-    if not dim_ok:
-        reason = (f"dimension obstruction: dim g^2 + dim Z = {d2} + {z} "
-                  f"!= {algebra.dim}; no invariant nondegenerate form exists")
-        return QuadraticSearch("none", None, reason, m, None)
-    witness = _witness_search(grams, rng, rounds=12 if symbolic is not None else 8)
+            reason = (f"dimension obstruction: dim g^2 + dim Z = {d2} + {z} "
+                      f"!= {algebra.dim}; no invariant nondegenerate form "
+                      f"exists")
+            return QuadraticSearch("none", None, reason, m, None)
+        witness = _random_witness(grams, random.Random(seed),
+                                  rounds=12 if symbolic is not None else 8)
     if witness is not None:
         gram = Matrix([[sum((t * g.entries[i][j] for t, g in zip(witness, grams)),
                             Q(0)) for j in range(algebra.dim)]

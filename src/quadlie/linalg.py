@@ -669,14 +669,21 @@ class PencilTooLarge(ValueError):
 
 DET_PENCIL_MAX_SIZE = 12
 DET_PENCIL_MAX_PARAMS = 12
+# det_pencil packs an exponent vector into one int, 4 bits per variable: a
+# term of a determinant of size n <= 12 has total degree n < 16
+_EXP_BITS = 4
 
 
 def det_pencil(mats: Sequence[Matrix]) -> Poly:
     """det(t1*B1 + ... + tm*Bm) as an exact polynomial in m variables.
 
-    Symbolic expansion (subset dynamic programming over column sets) is only
-    attempted up to 12x12 with at most 12 parameters; beyond that raise
-    PencilTooLarge and let callers fall back to sampling.
+    Integer expansion: every B_r is scaled by the lcm d of the denominators
+    of all their entries, a subset dynamic program over column sets (row i
+    picks a free column j, with the sign of the columns it passes) expands
+    det(d*(t1*B1 + ... + tm*Bm)) on integer polynomials, and the
+    coefficients are divided by d^n once at the end. Only attempted up to
+    12x12 with at most 12 parameters; beyond that raise PencilTooLarge and
+    let callers fall back to sampling.
     """
     if not mats:
         raise ValueError("empty pencil")
@@ -689,40 +696,41 @@ def det_pencil(mats: Sequence[Matrix]) -> Poly:
         raise PencilTooLarge(f"{n}x{n} pencil with {m} parameters")
     if n == 0:
         return Poly.const(m, 1)
-    zero = Poly(m, {})
-
-    def entry(i: int, j: int) -> Poly:
-        terms = {}
-        for r in range(m):
-            c = mats[r].entries[i][j]
-            if c != 0:
-                expo = [0] * m
-                expo[r] = 1
-                terms[tuple(expo)] = c
-        return Poly(m, terms)
-
-    dp = {0: Poly.const(m, 1)}
-    for i in range(n):
+    d = lcm(*(x.denominator for b in mats for row in b.entries for x in row))
+    # entries[i][j]: the (packed t_r, integer coefficient) pairs of the
+    # nonzero terms of entry (i, j) of d*(t1*B1 + ... + tm*Bm)
+    entries = [[[(1 << (_EXP_BITS * r), x.numerator * (d // x.denominator))
+                 for r, b in enumerate(mats) if (x := b.entries[i][j])]
+                for j in range(n)] for i in range(n)]
+    dp = {0: {0: 1}}
+    for i, row in enumerate(entries):
         ndp = {}
-        for mask, p in dp.items():
+        for mask, poly in dp.items():
             pos = 0
-            for j in range(n):
+            for j, entry in enumerate(row):
                 bit = 1 << j
                 if mask & bit:
                     pos += 1
                     continue
-                e = entry(i, j)
-                if e.is_zero():
+                if not entry:
                     continue
-                term = p * e
-                if (pos + i) % 2:
-                    term = -term
-                key = mask | bit
-                ndp[key] = ndp.get(key, zero) + term
-        dp = ndp
+                sign = -1 if (pos + i) % 2 else 1
+                acc = ndp.setdefault(mask | bit, {})
+                for unit, a in entry:
+                    a *= sign
+                    for expo, c in poly.items():
+                        acc[expo + unit] = acc.get(expo + unit, 0) + a * c
+        dp = {}
+        for mask, poly in ndp.items():
+            poly = {e: c for e, c in poly.items() if c}
+            if poly:
+                dp[mask] = poly
         if not dp:
-            return zero
-    return dp.get((1 << n) - 1, zero)
+            return Poly(m, {})
+    field = (1 << _EXP_BITS) - 1
+    scale = d ** n
+    return Poly(m, {tuple((e >> (_EXP_BITS * r)) & field for r in range(m)):
+                    Q(c, scale) for e, c in dp[(1 << n) - 1].items()})
 
 
 def eval_pencil_det(mats: Sequence[Matrix], point: Sequence) -> Q:

@@ -30,8 +30,7 @@ def seeded_lambdas(length, seed):
     return out
 
 
-@pytest.fixture(scope="session")
-def corpus():
+def corpus_members():
     """Every quadratic algebra exercised by the pattern suite, keyed by name."""
     sq = ql.sl2_killing_quadratic()
     members = {
@@ -54,6 +53,11 @@ def corpus():
         "tensor_3": ql.tensor_truncated(sq, 3),
     }
     return members
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    return corpus_members()
 
 
 def random_vector(rng, n, lo=-3, hi=3):

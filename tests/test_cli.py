@@ -1,5 +1,6 @@
 import json
 
+from quadlie import cli, forms
 from quadlie.cli import main
 
 
@@ -95,6 +96,22 @@ class TestForms:
         run(capsys, "build", "free-nilpotent", "2", "3", "-o", target)
         rc, out, _ = run(capsys, "forms", target)
         assert rc == 0 and "nondegenerate invariant form found" in out
+
+    def test_solves_the_form_space_once(self, tmp_path, capsys, monkeypatch):
+        target = str(tmp_path / "n23.alg")
+        run(capsys, "build", "free-nilpotent", "2", "3", "-o", target)
+        calls = []
+        original = forms.invariant_forms
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(forms, "invariant_forms", spy)
+        monkeypatch.setattr(cli, "invariant_forms", spy, raising=False)
+        rc, out, _ = run(capsys, "forms", target)
+        assert rc == 0
+        assert out.splitlines()[0] == "invariant symmetric forms: dim 4"
+        assert len(calls) == 1
 
 
 class TestDer:

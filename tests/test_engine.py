@@ -557,6 +557,29 @@ class TestTraceForms:
             assert nil == jac
 
 
+class TestIsInvariant:
+    def test_matches_dense_check(self):
+        for q in QUADRATIC:
+            L, gram = q.algebra, q.form.gram
+            n = L.dim
+            grams = [gram, L.killing_gram(), Matrix.zeros(n, n)]
+            # the true Gram with one entry (and its mirror) moved
+            for i in range(n):
+                for j in range(i, n):
+                    rows = [list(r) for r in gram.entries]
+                    rows[i][j] += Fraction(1, 2)
+                    rows[j][i] = rows[i][j]
+                    grams.append(Matrix(rows, n))
+            verdicts = []
+            for g in grams:
+                expected = all(
+                    (g * a + a.transpose() * g).is_zero()
+                    for a in (L.ad_basis(i) for i in range(n)))
+                assert ql.is_invariant(L, BilinearForm(L, g)) is expected
+                verdicts.append(expected)
+            assert verdicts[:3] == [True] * 3 and not all(verdicts)
+
+
 class TestIsIdeal:
     @BRACKETS
     @given(st.sampled_from(range(len(QUADRATIC))), st.data())

@@ -176,6 +176,29 @@ class TestDet:
             det(Matrix.zeros(2, 3))
 
 
+def ref_det_pencil(mats):
+    """det(t1*B1 + ... + tm*Bm) by a plain Fraction subset DP: row i picks
+    an unused column j, with sign -1 for each used column right of j."""
+    m, n = len(mats), mats[0].rows
+    units = [tuple(int(r == s) for s in range(m)) for r in range(m)]
+    dp = {frozenset(): {tuple([0] * m): Fraction(1)}}
+    for i in range(n):
+        nxt = {}
+        for used, poly in dp.items():
+            for j in range(n):
+                if j in used:
+                    continue
+                sign = (-1) ** sum(1 for k in used if k > j)
+                acc = nxt.setdefault(used | {j}, {})
+                for unit, b in zip(units, mats):
+                    for expo, c in poly.items():
+                        key = tuple(a + u for a, u in zip(expo, unit))
+                        acc[key] = (acc.get(key, Fraction(0))
+                                    + sign * c * b.entries[i][j])
+        dp = nxt
+    return Poly(m, dp.get(frozenset(range(n)), {}))
+
+
 class TestDetPencil:
     def test_two_by_two_split(self):
         b1 = Matrix([[1, 0], [0, 0]])
@@ -204,6 +227,47 @@ class TestDetPencil:
         mats = [Matrix.identity(13)]
         with pytest.raises(PencilTooLarge):
             det_pencil(mats)
+        with pytest.raises(PencilTooLarge):
+            det_pencil([Matrix.identity(2)] * 13)
+
+    def test_largest_degrees_at_the_cap(self):
+        zero = Matrix.zeros(12, 12)
+        last = det_pencil([zero] * 11 + [Matrix.identity(12).scale(Q(1, 2))])
+        assert last == Poly(12, {tuple([0] * 11 + [12]): Q(1, 4096)})
+        units = [Matrix([[Q(r + 1, 3) if i == j == r else 0
+                          for j in range(12)] for i in range(12)], 12)
+                 for r in range(12)]
+        coeff = Q(1)
+        for r in range(12):
+            coeff *= Q(r + 1, 3)
+        assert det_pencil(units) == Poly(12, {tuple([1] * 12): coeff})
+
+    def test_rational_matches_fraction_reference(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            n, m = rng.randint(1, 5), rng.randint(1, 4)
+            mats = []
+            for _ in range(m):
+                den = rng.choice((1, 2, 3, 4, 6, 9))
+                mats.append(Matrix(
+                    [[Fraction(rng.randint(-3, 3), den * rng.randint(1, 2))
+                      if rng.random() < 0.6 else 0 for _ in range(n)]
+                     for _ in range(n)], n))
+            p = det_pencil(mats)
+            assert p == ref_det_pencil(mats)
+            for _ in range(3):
+                point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(m)]
+                assert p.evaluate(point) == eval_pencil_det(mats, point)
+
+    def test_zero_pencils(self):
+        # a rank-one pencil, and a 2x2 whose two expansion terms cancel
+        rank_one = [Matrix([[1, 0], [0, 0]]), Matrix([[Q(1, 2), 0], [0, 0]])]
+        cancel = [Matrix([[Q(1, 2), Q(1, 3)], [Q(3, 2), 1]])]
+        for mats in (rank_one, cancel):
+            p = det_pencil(mats)
+            assert p.is_zero() and p == ref_det_pencil(mats)
+            assert eval_pencil_det(mats, [2] * len(mats)) == 0
 
 
 class TestScalars:
