@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .linalg import Subspace, qstr
+from .linalg import RowSpace, Subspace, qstr
 from .lie import LieAlgebra, TypePair
 from .forms import (BilinearForm, find_quadratic_structure,
                     orthogonal_complement, validate_quadratic)
@@ -265,15 +265,19 @@ def chain_dot(algebra: LieAlgebra, form: Optional[BilinearForm] = None,
     """DOT digraph of the named characteristic ideals with covering edges.
 
     Output is deterministic: nodes are sorted by dimension and canonical
-    basis, and only covering containments are drawn.
+    basis, and only covering containments are drawn. Each node is loaded
+    into one RowSpace, and a containment is tested only from a smaller
+    dimension to a larger one: the nodes are distinct subspaces, so two of
+    equal dimension never contain each other.
     """
     nodes = chain_nodes(algebra, form, extra)
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for idx, (names, sub) in enumerate(nodes):
         label = f"dim {sub.dim}: " + " = ".join(names)
         lines.append(f'  n{idx} [label="{label}"];')
-    contained = [[other_sub.contains(sub) and sub != other_sub
-                  for (_, other_sub) in nodes] for (_, sub) in nodes]
+    spaces = [RowSpace.of(sub) for _, sub in nodes]
+    contained = [[sub.dim < rs.dim and rs.contains_space(sub) for rs in spaces]
+                 for (_, sub) in nodes]
     for i in range(len(nodes)):
         for j in range(len(nodes)):
             if not contained[i][j]:

@@ -15,6 +15,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -234,7 +235,10 @@ def _cmd_dualcheck(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: parsing
+    leaves the parser unchanged, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="quadlie",
         description="exact toolkit for quadratic Lie algebras")

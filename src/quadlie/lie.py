@@ -7,10 +7,13 @@ is built into the representation and the Jacobi identity is checked by
 and the structural predicates used throughout the package.
 
 Every linear system over the bracket table, here and in the solvers, is
-built from the integer columns of ``LieAlgebra._bracket_columns`` as the
-sparse engine rows ``{column: int}`` that ``sparse_kernel`` and
-``linalg._kernel`` take; the nilradical's associative envelope multiplies
-sparse integer matrices and eliminates them as the same rows.
+built from the integer table of ``LieAlgebra._int_table`` (the structure
+constants over one common denominator) as the sparse engine rows
+``{column: int}`` that ``sparse_kernel`` and ``linalg._kernel`` take: most
+through the columns of ``_bracket_columns``, the upper central series and
+the Jacobi check in one walk over the table's nonzero entries. The
+nilradical's associative envelope multiplies sparse integer matrices and
+eliminates them as the same rows.
 
 Values are immutable once built; lazily computed reports are cached on the
 instance, and recomputing them concurrently is harmless because every
@@ -163,14 +166,10 @@ class LieAlgebra:
                     rows[k][i] -= x[j] * c
         return Matrix(rows, n)
 
-    def _bracket_columns(self, x: Sequence) -> list:
-        """The n brackets [x, e_i] as integer vectors, all scaled by one
-        common positive factor, in a single walk of the bracket table.
-
-        The table is scaled once per algebra to integer constants over a
-        common denominator, and x to its primitive integer row. Vector i is
-        column i of ad(x): every linear system over the table reads it here.
-        """
+    def _int_table(self) -> tuple:
+        """The bracket table scaled once per algebra to integer constants
+        over a common denominator: (i, j, ((k, c), ...)) for each nonzero
+        [e_i, e_j], i < j."""
         if "int_table" not in self._cache:
             den = lcm(*(c.denominator for comp in self.table.values()
                         for c in comp.values()))
@@ -178,9 +177,18 @@ class LieAlgebra:
                 (i, j, tuple((k, c.numerator * (den // c.denominator))
                              for k, c in comp.items()))
                 for (i, j), comp in self.table.items())
+        return self._cache["int_table"]
+
+    def _bracket_columns(self, x: Sequence) -> list:
+        """The n brackets [x, e_i] as integer vectors, all scaled by one
+        common positive factor, in a single walk of the integer table.
+
+        x is scaled to its primitive integer row. Vector i is column i of
+        ad(x): every linear system over the table reads it here.
+        """
         x = _primitive(x)
         cols = [[0] * self.dim for _ in range(self.dim)]
-        for i, j, comp in self._cache["int_table"]:
+        for i, j, comp in self._int_table():
             if x[i]:
                 xi, col = x[i], cols[j]
                 for k, c in comp:
@@ -208,27 +216,37 @@ class LieAlgebra:
         """Diagnostics for the Lie axioms; an empty list means valid.
 
         Antisymmetry is structural in the pair table, so the diagnostics
-        are the basis triples (i, j, k) violating the Jacobi identity.
+        are the basis triples (i, j, k), i < j < k, violating the Jacobi
+        identity, in sorted order.
+
+        Only a triple with a nonzero bracket among its pairs can fail, so the
+        Jacobi sums are accumulated from the nonzero products of the integer
+        table: for [e_a, e_b] = sum_m c_m e_m (a < b) and every nonzero
+        [e_m, e_c] with c outside {a, b}, the term [[e_a, e_b], e_c] adds
+        into the triple {a, b, c}, negated when a < c < b (then (a, b, c) is
+        an odd permutation of the sorted triple).
         """
-        bad = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = self.bracket_basis(i, j)
-                for k in range(j + 1, n):
-                    acc = [Q(0)] * n
-                    for m, c in bij.items():
-                        for p, d in self.bracket_basis(m, k).items():
-                            acc[p] += c * d
-                    for m, c in self.bracket_basis(j, k).items():
-                        for p, d in self.bracket_basis(m, i).items():
-                            acc[p] += c * d
-                    for m, c in self.bracket_basis(k, i).items():
-                        for p, d in self.bracket_basis(m, j).items():
-                            acc[p] += c * d
-                    if any(v != 0 for v in acc):
-                        bad.append(("jacobi", i, j, k))
-        return bad
+        table = self._int_table()
+        # nbrs[m] lists (c, [e_m, e_c]) over the nonzero brackets of e_m
+        nbrs = {}
+        for i, j, comp in table:
+            nbrs.setdefault(i, []).append((j, comp))
+            nbrs.setdefault(j, []).append((i, tuple((k, -c) for k, c in comp)))
+        acc = {}
+        for a, b, comp in table:
+            for m, x in comp:
+                for c, bracket in nbrs.get(m, ()):
+                    if c == a or c == b:
+                        continue
+                    if a < c < b:
+                        key, s = (a, c, b), -x
+                    else:
+                        key, s = tuple(sorted((a, b, c))), x
+                    out = acc.setdefault(key, {})
+                    for p, y in bracket:
+                        out[p] = out.get(p, 0) + s * y
+        return [("jacobi",) + key for key in sorted(acc)
+                if any(acc[key].values())]
 
     # ------------------------------------------------------------------
     # subspace operations
@@ -240,8 +258,7 @@ class LieAlgebra:
             raise ValueError("ambient dimension mismatch")
         if u.dim > v.dim:
             u, v = v, u
-        others = [[(i, x) for i, x in enumerate(_primitive(b)) if x]
-                  for b in v.vectors()]
+        others = [list(row.items()) for row in v.engine_rows()]
         vecs = []
         for a in u.vectors():
             cols = self._bracket_columns(a)
@@ -303,16 +320,23 @@ class LieAlgebra:
         return self._cache["series"]
 
     def _upper_step(self, z: Subspace) -> Subspace:
-        """{x : [x, g] in z}, i.e. phi([e_i, x]) = 0 for all i, phi in ann(z)."""
-        ann = [[(k, f) for k, f in enumerate(_primitive(phi)) if f]
-               for phi in z.annihilator().vectors()]
-        rows = []
-        for i in range(self.dim):
-            cols = self._bracket_columns(self.basis_vector(i))
-            for phi in ann:
-                rows.append(_row((j, sum(f * col[k] for k, f in phi))
-                                 for j, col in enumerate(cols)))
-        return _kernel(rows, self.dim)
+        """{x : [x, g] in z}, the kernel of the rows phi([e_i, x]) = 0, one
+        for each i and each phi among the engine rows of ann(z).
+
+        Row (i, phi) has phi([e_i, e_j]) in column j, so one walk over the
+        nonzero entries of the integer table fills every row: the entry
+        [e_i, e_j] (i < j) puts phi([e_i, e_j]) into row (i, phi), column j,
+        and its negative into row (j, phi), column i.
+        """
+        ann = z.annihilator().engine_rows()
+        rows = {}
+        for i, j, comp in self._int_table():
+            for t, phi in enumerate(ann):
+                s = sum(phi.get(k, 0) * c for k, c in comp)
+                if s:
+                    rows.setdefault((i, t), {})[j] = s
+                    rows.setdefault((j, t), {})[i] = -s
+        return _kernel((_row(r.items()) for r in rows.values()), self.dim)
 
     # ------------------------------------------------------------------
     # predicates

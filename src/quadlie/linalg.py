@@ -15,7 +15,9 @@ LaMacchia and Odlyzko 1990), and stores what is left under its lead.
 ``RowSpace`` keeps such a map; ``_rref_rows`` fills one and back-substitutes.
 Rows are divided by their pivots only at the boundary, so ``rref``,
 ``kernel``, ``solve`` and ``Subspace`` still return the unique reduced
-row-echelon form over Q. ``det`` runs Bareiss on dense integer rows.
+row-echelon form over Q. A ``Subspace`` keeps the engine rows of its basis,
+so loading it back into the engine costs no conversion. ``det`` runs
+Bareiss on dense integer rows.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe to share between threads.
@@ -306,16 +308,20 @@ def _rref_rows(rows: Iterable[dict]) -> dict:
 
 def _subspace(ambient: int, rows: Iterable[dict]) -> "Subspace":
     """The span of engine rows, as its canonical Subspace: the reduced rows
-    are divided by their pivots only here."""
+    are divided by their pivots only here, and the Subspace keeps them as
+    its engine rows."""
     piv = _rref_rows(rows)
+    leads = sorted(piv)
     basis = []
-    for p in sorted(piv):
+    for p in leads:
         row = piv[p]
         vec = [_ZERO] * ambient
         for k, x in row.items():
             vec[k] = Q(x, row[p])
         basis.append(vec)
-    return Subspace(ambient, Matrix(basis, ambient))
+    sub = Subspace(ambient, Matrix(basis, ambient))
+    object.__setattr__(sub, "_rows", tuple(piv[p] for p in leads))
+    return sub
 
 
 def _dense_rows(m: Matrix):
@@ -417,12 +423,12 @@ class RowSpace:
 
     @classmethod
     def of(cls, sub: "Subspace") -> "RowSpace":
-        """An accumulator holding sub, loaded with no elimination: the rows
-        of a reduced row-echelon basis already have distinct leads."""
+        """An accumulator holding sub, loaded from its engine rows with no
+        elimination: the rows of a reduced row-echelon basis already have
+        distinct leads. The rows are shared, which is safe because no
+        elimination step changes a stored row in place."""
         rs = cls(sub.ambient)
-        for vec in sub.basis.entries:
-            row = _row(enumerate(vec))
-            rs._piv[min(row)] = row
+        rs._piv = {min(row): row for row in sub.engine_rows()}
         return rs
 
     def _as_row(self, vec: Sequence) -> dict:
@@ -438,6 +444,12 @@ class RowSpace:
         # the residual is a dict: test it for emptiness, not with any(),
         # which would read its keys and miss column 0
         return not _reduce(self._as_row(vec), self._piv)
+
+    def contains_space(self, sub: "Subspace") -> bool:
+        """True iff every vector of sub lies in this span."""
+        if sub.ambient != self.width:
+            raise ValueError("ambient dimension mismatch")
+        return all(not _reduce(row, self._piv) for row in sub.engine_rows())
 
     @property
     def dim(self) -> int:
@@ -456,13 +468,14 @@ class Subspace:
     so equality, hashing and set membership are all purely syntactic.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_rows")
 
     def __init__(self, ambient: int, basis: Matrix):
         if basis.cols != ambient:
             raise ValueError("basis width does not match ambient dimension")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -495,6 +508,17 @@ class Subspace:
     def vectors(self) -> tuple:
         return self.basis.entries
 
+    def engine_rows(self) -> tuple:
+        """The basis vectors as engine rows, in basis order: each scaled to
+        coprime integers with a positive lead, as ``{column: int}``. A
+        Subspace made by elimination keeps the rows it came from; any other
+        computes them once. The rows are shared: never change one in place.
+        """
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(
+                _row(enumerate(v)) for v in self.basis.entries))
+        return self._rows
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
                 and self.basis == other.basis)
@@ -509,16 +533,13 @@ class Subspace:
         return RowSpace.of(self).contains(vec)
 
     def contains(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        rs = RowSpace.of(self)
-        return all(rs.contains(v) for v in other.basis.entries)
+        return RowSpace.of(self).contains_space(other)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.span(self.ambient,
-                             list(self.basis.entries) + list(other.basis.entries))
+        return _subspace(self.ambient,
+                         self.engine_rows() + other.engine_rows())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -548,7 +569,7 @@ class Subspace:
         """Vectors orthogonal to this space under the standard dot product."""
         if self.is_zero():
             return Subspace.full(self.ambient)
-        return kernel(self.basis)
+        return _kernel(self.engine_rows(), self.ambient)
 
 
 def greedy_extension(sub: Subspace, candidates: Iterable[Sequence]) -> list:

@@ -223,6 +223,23 @@ class TestChains:
         assert a.count("->") == 3
         assert 'label="dim 0:' in a
 
+    def test_dot_edges_match_pairwise_containment(self, corpus):
+        for name, q in corpus.items():
+            n = q.algebra.dim
+            # two coordinate subspaces, so that some nodes are incomparable
+            extra = [("e0", ql.Subspace.span(n, [[1] + [0] * (n - 1)])),
+                     ("e1", ql.Subspace.span(n, [[0, 1] + [0] * (n - 2)]))]
+            nodes = chain_nodes(q.algebra, q.form, extra)
+            contained = [[b.contains(a) and a != b for _, b in nodes]
+                         for _, a in nodes]
+            idx = range(len(nodes))
+            edges = [f"  n{i} -> n{j};" for i in idx for j in idx
+                     if contained[i][j]
+                     and not any(contained[i][k] and contained[k][j]
+                                 for k in idx)]
+            text = chain_dot(q.algebra, q.form, extra)
+            assert [ln for ln in text.splitlines() if "->" in ln] == edges, name
+
     def test_dot_without_form(self):
         text = chain_dot(ql.sl2())
         assert "digraph" in text

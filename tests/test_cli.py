@@ -1,3 +1,4 @@
+import argparse
 import json
 
 from quadlie import cli, forms
@@ -62,6 +63,55 @@ class TestBuildAnalyzePipeline:
             assert rc == 0, family
             rc, _, _ = run(capsys, "check", target)
             assert rc == 0, family
+
+
+class TestParserReuse:
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys,
+                                          monkeypatch):
+        target = str(tmp_path / "d4.alg")
+        run(capsys, "build", "oscillator", "-o", target)
+        seeds = []
+        original = cli.analyze
+
+        def spy(algebra, form, seed):
+            seeds.append(seed)
+            return original(algebra, form, seed=seed)
+        monkeypatch.setattr(cli, "analyze", spy)
+        calls = (["analyze", target, "--json", "--seed", "3"],
+                 ["analyze", target])
+        fresh = []
+        for argv in calls:
+            cli._make_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert seeds == [3, 0]
+        # one parser for all three: a usage error, then the same two calls
+        cli._make_parser.cache_clear()
+        rc, _, err = run(capsys, "analyze", target, "--seed", "x")
+        assert rc == 2 and "invalid int value" in err
+        assert [run(capsys, *argv) for argv in calls] == fresh
+        assert seeds == [3, 0, 3, 0]
+        assert fresh[0][0] == 0 and json.loads(fresh[0][1])
+        assert fresh[1][0] == 0 and fresh[1][1].startswith("dim = 4")
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        target = str(tmp_path / "d4.alg")
+        run(capsys, "build", "oscillator", "-o", target)
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli._make_parser.cache_clear()
+        try:
+            for argv in (["check", target], ["analyze", target, "--json"],
+                         ["forms", target], ["check"]):
+                run(capsys, *argv)
+            assert built.count("quadlie") == 1
+            assert len(built) == 8  # the top parser and its 7 sub-commands
+        finally:
+            cli._make_parser.cache_clear()
 
 
 class TestModuleExecution:

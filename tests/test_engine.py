@@ -4,10 +4,13 @@ The reference below is textbook Gauss-Jordan elimination over Fraction rows.
 It lives only here: the library eliminates on primitive integer rows, and
 every result it returns at the API must equal the reference entry for entry.
 The same holds for the linear systems that the library reads off the integer
-bracket table (subspace products, centralizers, derivations, centroid,
-invariant forms): each is rebuilt here from the Fraction ``bracket``.
+bracket table (subspace products, centralizers, upper central series steps,
+derivations, centroid, invariant forms): each is rebuilt here from the
+Fraction ``bracket``. The Jacobi check is compared with the dense triple
+scan it replaced.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -17,8 +20,8 @@ from quadlie.derivations import derivations, skew_derivations
 from quadlie.forms import (BilinearForm, QuadraticAlgebra, invariant_forms,
                            orthogonal_complement)
 from quadlie.lie import span_algebra, sparse_kernel
-from quadlie.linalg import (Matrix, Q, RowSpace, Subspace, det, kernel, rank,
-                            rref, solve)
+from quadlie.linalg import (Matrix, Q, RowSpace, Subspace, _row, det, kernel,
+                            rank, rref, solve)
 
 ENGINE = settings(max_examples=100, deadline=None, derandomize=True,
                   database=None)
@@ -477,6 +480,16 @@ def _subspaces(L, data, count):
     return out
 
 
+def ref_upper_step(L, z):
+    """{x : [x, e_i] in z for all i}: phi([x, e_i]) = sum_j x_j phi([e_j, e_i])
+    vanishes for every i and every phi in the dense annihilator of z."""
+    c, n = _table(L), L.dim
+    ann = ref_kernel_vectors(list(z.vectors()), n)
+    rows = [[sum(f * c[j][i][k] for k, f in enumerate(phi)) for j in range(n)]
+            for i in range(n) for phi in ann]
+    return tuple(ref_kernel_vectors(rows, n))
+
+
 class TestBracketSystemsMatchFraction:
     @BRACKETS
     @given(st.sampled_from(range(len(QUADRATIC))), st.data())
@@ -496,6 +509,36 @@ class TestBracketSystemsMatchFraction:
         stacked = [row for v in u.vectors() for row in L.ad(v).entries]
         assert (L.centralizer(u).vectors()
                 == tuple(ref_kernel_vectors(stacked, L.dim)))
+
+    @BRACKETS
+    @given(st.sampled_from(range(len(QUADRATIC))), st.data())
+    def test_upper_step(self, which, data):
+        L = CLOSURE_ALGEBRAS[which]
+        cases = _subspaces(L, data, 2) + [L.zero_space(), L.full_space(),
+                                          L.center(), L.derived_subalgebra()]
+        for z in cases:
+            assert L._upper_step(z).vectors() == ref_upper_step(L, z)
+
+    @BRACKETS
+    @given(st.sampled_from(range(len(QUADRATIC))), matrices(max_rows=5),
+           st.data())
+    def test_engine_rows(self, which, case, data):
+        L = CLOSURE_ALGEBRAS[which]
+        n = L.dim
+        rows, cols = case
+        u, v = _subspaces(L, data, 2)
+        total = u.sum(v)
+        assert total.vectors() == tuple(
+            ref_span_basis(list(u.vectors()) + list(v.vectors()), n))
+        spaces = [u, v, total, kernel(Matrix(rows, cols)),
+                  Subspace.span(cols, rows), L.center(),
+                  L._upper_step(L.center()), Subspace.full(n),
+                  Subspace.zero(n), Subspace.full(n).annihilator()]
+        for sub in spaces:
+            got = sub.engine_rows()
+            assert got == tuple(_row(enumerate(vec)) for vec in sub.vectors())
+            assert sub.engine_rows() is got
+            assert RowSpace.of(sub).subspace() == sub
 
     def test_center(self):
         for L in CLOSURE_ALGEBRAS:
@@ -532,6 +575,71 @@ class TestBracketSystemsMatchFraction:
             assert all(x.denominator == 1 for g in got for x in g)
             assert (tuple(_lead_one(g) for g in got)
                     == tuple(ref_kernel_vectors(rows, len(pairs))))
+
+
+def ref_validate(L):
+    """The Jacobi scan ``LieAlgebra.validate`` made before it walked the
+    integer table: every triple i < j < k, with a dense Fraction
+    accumulator."""
+    bad = []
+    n = L.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = L.bracket_basis(i, j)
+            for k in range(j + 1, n):
+                acc = [Q(0)] * n
+                for m, c in bij.items():
+                    for p, d in L.bracket_basis(m, k).items():
+                        acc[p] += c * d
+                for m, c in L.bracket_basis(j, k).items():
+                    for p, d in L.bracket_basis(m, i).items():
+                        acc[p] += c * d
+                for m, c in L.bracket_basis(k, i).items():
+                    for p, d in L.bracket_basis(m, j).items():
+                        acc[p] += c * d
+                if any(v != 0 for v in acc):
+                    bad.append(("jacobi", i, j, k))
+    return bad
+
+
+class TestValidate:
+    def test_matches_triple_loop(self):
+        for L in CLOSURE_ALGEBRAS:
+            assert L.validate() == ref_validate(L) == []
+            # every table with one structure constant moved by 1/2, and with
+            # one bracket that was zero made nonzero
+            tables = []
+            for pair, comp in L.table.items():
+                moved = dict(comp)
+                moved[min(comp)] += Fraction(1, 2)
+                tables.append({**L.table, pair: moved})
+            zero = next(((i, j) for i in range(L.dim)
+                         for j in range(i + 1, L.dim)
+                         if (i, j) not in L.table), None)
+            if zero is not None:
+                tables.append({**L.table, zero: {zero[0]: Fraction(2, 3)}})
+            broken = 0
+            for table in tables:
+                M = ql.LieAlgebra(L.labels, table)
+                expected = ref_validate(M)
+                assert M.validate() == expected
+                broken += bool(expected)
+            assert broken
+
+    def test_random_rational_tables(self):
+        rng = random.Random(20)
+        for _ in range(40):
+            n = rng.randint(3, 6)
+            table = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.4:
+                        entry = {k: Fraction(rng.randint(-3, 3),
+                                             rng.randint(1, 3))
+                                 for k in range(n) if rng.random() < 0.4}
+                        table[(i, j)] = entry
+            L = ql.LieAlgebra(tuple(f"b{i}" for i in range(n)), table)
+            assert L.validate() == ref_validate(L)
 
 
 class TestTraceForms:
